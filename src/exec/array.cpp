@@ -40,22 +40,6 @@ void DenseArray::set(const std::vector<i64>& idx, double v) {
   data_[flat(idx)] = v;
 }
 
-void DenseArray::for_each_index(
-    const std::function<void(const std::vector<i64>&)>& fn) const {
-  std::vector<i64> idx = lo_;
-  if (lo_.empty()) return;
-  for (;;) {
-    fn(idx);
-    int d = rank() - 1;
-    while (d >= 0 && idx[d] == hi_[d]) {
-      idx[d] = lo_[d];
-      --d;
-    }
-    if (d < 0) break;
-    ++idx[d];
-  }
-}
-
 double DenseArray::max_abs_diff(const DenseArray& o) const {
   INLT_CHECK_MSG(data_.size() == o.data_.size(), "array shape mismatch");
   double m = 0.0;

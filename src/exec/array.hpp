@@ -6,7 +6,6 @@
 // transformation fails loudly instead of corrupting memory.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,16 +26,12 @@ class DenseArray {
   /// Row-major element stride of dimension d (innermost is 1).
   i64 stride(int d) const { return strides_[d]; }
 
-  /// Raw storage, for execution engines that precompute flat offsets;
-  /// element order matches for_each_index.
+  /// Raw storage in row-major order, for execution engines that
+  /// precompute flat offsets.
   double* raw_data() { return data_.data(); }
 
   double get(const std::vector<i64>& idx) const;
   void set(const std::vector<i64>& idx, double v);
-
-  /// Visit every index tuple (row-major).
-  void for_each_index(
-      const std::function<void(const std::vector<i64>&)>& fn) const;
 
   /// Elementwise maximum absolute difference; shapes must match.
   double max_abs_diff(const DenseArray& o) const;

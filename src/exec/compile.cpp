@@ -267,7 +267,18 @@ class VmCompiler {
     emit_c(COp::kStmt, static_cast<int>(vm_.stmts_.size()) - 1);
   }
 
-  void compile_loop(const Node& n) {
+  // A descendant loop the probe's vertex rule can enumerate at its two
+  // endpoints: one term per bound, denominator 1, step 1, and a
+  // collapsible subtree of its own.
+  static bool vertex_descendant(const VmProgram::LoopInfo& D) {
+    auto unit = [](const VmProgram::CBound& b) {
+      return b.terms.size() == 1 && b.terms[0].den == 1;
+    };
+    return D.probe_vertex && D.step == 1 && unit(D.lower) && unit(D.upper);
+  }
+
+  // Returns the loop's index in loops_.
+  int compile_loop(const Node& n) {
     int idx = static_cast<int>(vm_.loops_.size());
     vm_.loops_.emplace_back();
     loop_inits_.emplace_back();
@@ -286,23 +297,23 @@ class VmCompiler {
     scope_.emplace_back(n.var(), vm_.loops_[idx].slot);
     loop_stack_.push_back(idx);
     int body_pc = static_cast<int>(vm_.code_.size());
-    int acc_before = static_cast<int>(vm_.accesses_.size());
-    for (const NodePtr& c : n.children()) compile_node(*c);
+    bool vertex = true;
+    for (const NodePtr& c : n.children()) {
+      int child = compile_node(*c);
+      if (!c->guards().empty() ||
+          (child >= 0 && !vertex_descendant(vm_.loops_[child])))
+        vertex = false;
+    }
     emit_c(COp::kLoopNext, idx, body_pc);
     vm_.code_[enter_pc].jump = static_cast<int>(vm_.code_.size());
     loop_stack_.pop_back();
     scope_.pop_back();
-
-    bool collapse = true;
-    for (const NodePtr& c : n.children())
-      if (!c->is_stmt() || !c->guards().empty()) collapse = false;
-    VmProgram::LoopInfo& L = vm_.loops_[idx];
-    L.probe_collapse = collapse;
-    L.probe_begin = acc_before;
-    L.probe_end = static_cast<int>(vm_.accesses_.size());
+    vm_.loops_[idx].probe_vertex = vertex;
+    return idx;
   }
 
-  void compile_node(const Node& n) {
+  // Returns the loop index for a loop node, -1 for a statement.
+  int compile_node(const Node& n) {
     int guard_pc = -1;
     if (!n.guards().empty()) {
       VmProgram::GuardSet gs{static_cast<int>(vm_.guards_.size()), 0};
@@ -313,12 +324,14 @@ class VmCompiler {
       guard_pc = emit_c(COp::kGuards,
                         static_cast<int>(vm_.guard_sets_.size()) - 1);
     }
+    int loop = -1;
     if (n.is_stmt())
       compile_stmt(n);
     else
-      compile_loop(n);
+      loop = compile_loop(n);
     if (guard_pc >= 0)
       vm_.code_[guard_pc].jump = static_cast<int>(vm_.code_.size());
+    return loop;
   }
 
   int emit_c(COp op, int arg, int jump = 0) {

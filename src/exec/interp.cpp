@@ -127,6 +127,16 @@ void warn_native_fallback_once(const Diagnostic& d) {
   if (seen.insert(d.message).second) std::cerr << d.render() << "\n";
 }
 
+// Flat element k of `arr` (row-major order) gets base + the (k+1)-th
+// draw of the stream seeded by h0. A rank-0 array is left untouched.
+void fill_flat(DenseArray& arr, std::uint64_t h0, double base) {
+  if (arr.rank() == 0) return;
+  double* data = arr.raw_data();
+  const std::size_t size = arr.data().size();
+  for (std::size_t k = 0; k < size; ++k)
+    data[k] = base + hash_to_unit(mix(h0, k + 1));
+}
+
 }  // namespace
 
 InterpStats interpret(const Program& p, const std::map<std::string, i64>& params,
@@ -168,7 +178,7 @@ InterpStats interpret(const Program& p, const std::map<std::string, i64>& params
 void declare_arrays(const Program& p, const std::map<std::string, i64>& params,
                     Memory& mem) {
   // Probe subscript extremes with the VM (vm.hpp): overflow-checked
-  // and with leaf loops collapsed to their endpoint iterations.
+  // and with collapsible sub-nests visited at their vertices only.
   for (auto& [name, r] : VmProgram::probe_ranges(p, params)) {
     if (mem.has(name)) continue;
     mem.declare(name, std::move(r.lo), std::move(r.hi));
@@ -176,41 +186,32 @@ void declare_arrays(const Program& p, const std::map<std::string, i64>& params,
 }
 
 void randomize(Memory& mem, unsigned seed) {
-  for (auto& [name, arr] : mem.arrays()) {
-    std::uint64_t h0 = mix(seed, std::hash<std::string>{}(name));
-    std::uint64_t counter = 0;
-    std::vector<std::pair<std::vector<i64>, double>> writes;
-    arr.for_each_index([&](const std::vector<i64>& idx) {
-      writes.emplace_back(idx, hash_to_unit(mix(h0, ++counter)));
-    });
-    for (auto& [idx, v] : writes) arr.set(idx, v);
-  }
+  for (auto& [name, arr] : mem.arrays())
+    fill_flat(arr, mix(seed, std::hash<std::string>{}(name)), 0.0);
 }
 
 void fill_spd(Memory& mem, unsigned seed) {
   for (auto& [name, arr] : mem.arrays()) {
     std::uint64_t h0 = mix(seed ^ 0xabcdef, std::hash<std::string>{}(name));
-    if (arr.rank() == 2 && arr.lo(0) == arr.lo(1) && arr.hi(0) == arr.hi(1)) {
-      // Symmetric, strongly diagonally dominant => positive definite.
-      i64 n = arr.hi(0) - arr.lo(0) + 1;
-      for (i64 i = arr.lo(0); i <= arr.hi(0); ++i)
-        for (i64 j = arr.lo(1); j <= i; ++j) {
-          double v = 0.5 * hash_to_unit(mix(h0, mix(static_cast<std::uint64_t>(
-                                                        i + 1000),
-                                                    static_cast<std::uint64_t>(
-                                                        j + 1000))));
-          if (i == j) v += static_cast<double>(n) + 1.0;
-          arr.set({i, j}, v);
-          arr.set({j, i}, v);
-        }
-    } else {
-      std::uint64_t counter = 0;
-      std::vector<std::pair<std::vector<i64>, double>> writes;
-      arr.for_each_index([&](const std::vector<i64>& idx) {
-        writes.emplace_back(idx, 1.0 + hash_to_unit(mix(h0, ++counter)));
-      });
-      for (auto& [idx, v] : writes) arr.set(idx, v);
+    if (arr.rank() != 2 || arr.lo(0) != arr.lo(1) || arr.hi(0) != arr.hi(1)) {
+      fill_flat(arr, h0, 1.0);
+      continue;
     }
+    // Symmetric, strongly diagonally dominant => positive definite. The
+    // draw for (i, j), j <= i, hashes the index values themselves.
+    const i64 lo = arr.lo(0), n = arr.hi(0) - lo + 1;
+    double* data = arr.raw_data();
+    for (i64 i = 0; i < n; ++i)
+      for (i64 j = 0; j <= i; ++j) {
+        double v = 0.5 * hash_to_unit(
+                             mix(h0, mix(static_cast<std::uint64_t>(
+                                             lo + i + 1000),
+                                         static_cast<std::uint64_t>(
+                                             lo + j + 1000))));
+        if (i == j) v += static_cast<double>(n) + 1.0;
+        data[i * n + j] = v;
+        data[j * n + i] = v;
+      }
   }
 }
 

@@ -132,19 +132,27 @@ struct InterpStats {
 InterpStats interpret(const Program& p, const std::map<std::string, i64>& params,
                       Memory& mem, const InterpOptions& opts = {});
 
-/// Declare every array the program touches, sized so all subscripts at
-/// the given parameter values are in range (probed conservatively from
-/// the subscript expressions).
+/// Declare every array the program touches (arrays already in `mem`
+/// are kept), sized to the exact subscript extremes at the given
+/// parameter values. The VM probe (VmProgram::probe_ranges) visits
+/// only the vertex iterations of guard-free sub-nests whose inner loops
+/// have unit single-term bounds, falling back to plain iteration where
+/// an inner range is empty; arithmetic is overflow-checked.
 void declare_arrays(const Program& p, const std::map<std::string, i64>& params,
                     Memory& mem);
 
 /// Fill every declared array with deterministic pseudo-random values
-/// (seeded), e.g. as common input for source/target comparison.
+/// in [0, 1), e.g. as common input for source/target comparison:
+/// element k in row-major order gets draw k+1 of a stream seeded by
+/// `seed` and the array name. Writes raw_data() directly.
 void randomize(Memory& mem, unsigned seed);
 
 /// Fill arrays so matrices are symmetric positive definite when square
 /// — diagonally dominant values — letting Cholesky-like codes run
-/// without NaNs.
+/// without NaNs. A square 2-D array's (i, j) and (j, i) get one draw
+/// hashed from the index values; every other shape gets 1 + draw k+1
+/// at row-major element k, as randomize() with its own seed stream.
+/// Rank-0 arrays are left untouched by both fills.
 void fill_spd(Memory& mem, unsigned seed);
 
 }  // namespace inlt

@@ -23,6 +23,16 @@
 
 namespace inlt {
 
+namespace {
+
+// Value of the final executed iteration of `do v = lo, hi, step`.
+i64 last_iteration(i64 lo, i64 hi, i64 step) {
+  return checked_add(lo,
+                     checked_mul(floor_div(checked_sub(hi, lo), step), step));
+}
+
+}  // namespace
+
 i64 VmProgram::eval(const LinExpr& e) const {
   i64 v = e.constant;
   for (const auto& [slot, coef] : e.terms)
@@ -87,12 +97,9 @@ void VmProgram::enter_loop(const LoopInfo& loop, i64 lo, i64 hi) {
     offs_[a.reg] = eval(a.offset);
   }
   if (loop.check_begin == loop.check_end) return;
-  // Value of the final executed iteration; every per-dim subscript is
-  // affine (monotonic) in the loop variable, so in-range endpoints
-  // imply in-range everywhere between.
-  i64 last = checked_add(
-      lo, checked_mul(floor_div(checked_sub(hi, lo), loop.step), loop.step));
-  i64 span = checked_sub(last, lo);
+  // Every per-dim subscript is affine (monotonic) in the loop
+  // variable, so in-range endpoints imply in-range everywhere between.
+  i64 span = checked_sub(last_iteration(lo, hi, loop.step), lo);
   for (int i = loop.check_begin; i != loop.check_end; ++i) {
     const EntryCheck& ck = checks_[i];
     const Access& a = accesses_[ck.access];
@@ -555,28 +562,61 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
   }
 }
 
-void VmProgram::probe_note(ProbeState& ps, const Access& a) {
-  ProbeState::ArrayRange& r = ps.ranges[a.array];
-  if (!r.init) {
-    r.lo.resize(a.ndims);
-    r.hi.resize(a.ndims);
-    for (int d = 0; d < a.ndims; ++d)
-      r.lo[d] = r.hi[d] = eval(dims_[a.first_dim + d].expr);
-    r.init = true;
-    return;
-  }
-  for (int d = 0; d < a.ndims; ++d) {
-    i64 idx = eval(dims_[a.first_dim + d].expr);
-    r.lo[d] = std::min(r.lo[d], idx);
-    r.hi[d] = std::max(r.hi[d], idx);
+void VmProgram::probe_note(ProbeState& ps, const StmtInfo& s) {
+  for (int i = s.first_access; i != s.first_access + s.naccesses; ++i) {
+    const Access& a = accesses_[i];
+    ProbeState::ArrayRange& r = ps.ranges[a.array];
+    if (!r.init) {
+      r.lo.resize(a.ndims);
+      r.hi.resize(a.ndims);
+      for (int d = 0; d < a.ndims; ++d)
+        r.lo[d] = r.hi[d] = eval(dims_[a.first_dim + d].expr);
+      r.init = true;
+      continue;
+    }
+    for (int d = 0; d < a.ndims; ++d) {
+      i64 idx = eval(dims_[a.first_dim + d].expr);
+      r.lo[d] = std::min(r.lo[d], idx);
+      r.hi[d] = std::max(r.hi[d], idx);
+    }
   }
 }
 
+// The vertex rule (see vm.hpp) for the probe_vertex loop entered at
+// code_[enter_pc] with range [lo, hi], lo <= hi: note every statement
+// at the loop's first and last iterations and, below each, at every
+// descendant's two endpoints. Returns false, for the caller to iterate
+// the loop normally, when a descendant range is empty at a vertex.
+// What was noted stays valid: every visited point is executed.
+bool VmProgram::probe_vertices(ProbeState& ps, size_t enter_pc, i64 lo,
+                               i64 hi) {
+  const CInst& enter = code_[enter_pc];
+  const LoopInfo& L = loops_[enter.arg];
+  const i64 last = last_iteration(lo, hi, L.step);
+  const size_t body_end = static_cast<size_t>(enter.jump) - 1;  // kLoopNext
+  for (i64 v : {lo, last}) {
+    env_[L.slot] = v;
+    for (size_t pc = enter_pc + 1; pc != body_end;) {
+      const CInst& in = code_[pc];
+      if (in.op == COp::kStmt) {
+        probe_note(ps, stmts_[in.arg]);
+        ++pc;
+        continue;
+      }
+      const LoopInfo& D = loops_[in.arg];  // kLoopEnter: no guards here
+      i64 dlo = eval_lower(D.lower), dhi = eval_upper(D.upper);
+      if (dlo > dhi || !probe_vertices(ps, pc, dlo, dhi)) return false;
+      pc = static_cast<size_t>(in.jump);
+    }
+    if (last == lo) break;
+  }
+  return true;
+}
+
 // The probe interpreter: same control flow as run() but statements
-// only record subscript extremes, and a loop whose children are all
-// unguarded statements is collapsed to its two endpoint iterations
-// (affine subscripts are monotonic in the loop variable, so endpoints
-// bound the whole range) — array sizing drops an order of complexity.
+// only record subscript extremes, and a probe_vertex loop visits only
+// its vertex iterations (probe_vertices) — array sizing drops from
+// the full iteration count to a few points per loop entry.
 void VmProgram::run_probe(ProbeState& ps) {
   size_t pc = 0;
   for (;;) {
@@ -594,15 +634,7 @@ void VmProgram::run_probe(ProbeState& ps) {
           pc = static_cast<size_t>(in.jump);
           break;
         }
-        if (L.probe_collapse) {
-          i64 last = checked_add(
-              lo,
-              checked_mul(floor_div(checked_sub(hi, lo), L.step), L.step));
-          for (i64 v : {lo, last}) {
-            env_[L.slot] = v;
-            for (int i = L.probe_begin; i != L.probe_end; ++i)
-              probe_note(ps, accesses_[i]);
-          }
+        if (L.probe_vertex && probe_vertices(ps, pc, lo, hi)) {
           pc = static_cast<size_t>(in.jump);
           break;
         }
@@ -622,13 +654,10 @@ void VmProgram::run_probe(ProbeState& ps) {
         }
         break;
       }
-      case COp::kStmt: {
-        const StmtInfo& s = stmts_[in.arg];
-        for (int i = s.first_access; i != s.first_access + s.naccesses; ++i)
-          probe_note(ps, accesses_[i]);
+      case COp::kStmt:
+        probe_note(ps, stmts_[in.arg]);
         ++pc;
         break;
-      }
       case COp::kHalt:
         return;
     }

@@ -30,10 +30,17 @@
 // absurd parameter values fail with OverflowError instead of wrapping.
 //
 // probe_ranges() is the same machinery in "probe" mode: it sizes
-// arrays for declare_arrays without touching memory, and collapses
-// leaf loops whose children are all unguarded statements into two
-// endpoint evaluations per entry — declare_arrays drops from the full
-// iteration count to the iteration count of the outer nest.
+// arrays for declare_arrays without touching memory. A loop whose
+// subtree has no guards and whose descendant loops all have
+// single-term, denominator-1 bounds and step 1 (its own bounds and
+// step are free) is visited only at its vertex iterations: its first
+// and last values and, below each, every descendant's two endpoints.
+// Affine subscripts take their extremes there, provided no descendant
+// range is empty anywhere, which checking at the vertices decides
+// (hi - lo is affine). If one is empty, that loop iterates normally
+// and its inner levels may still collapse. declare_arrays drops from
+// the full iteration count to a few points per collapsed entry; the
+// result equals full iteration exactly (tests/exec/test_probe.cpp).
 #pragma once
 
 #include <atomic>
@@ -220,10 +227,10 @@ class VmProgram {
     int init_begin = 0, init_end = 0;    // into inits_
     int check_begin = 0, check_end = 0;  // into checks_
     int adv_begin = 0, adv_end = 0;      // into advances_
-    // Probe mode: all children are unguarded statements, so one
-    // endpoint evaluation per entry covers the whole iteration range.
-    bool probe_collapse = false;
-    int probe_begin = 0, probe_end = 0;  // collapsed accesses (accesses_)
+    // Probe mode: the subtree has no guards and every descendant loop
+    // has single-term, denominator-1 bounds and step 1, so run_probe
+    // may visit only the subtree's vertex iterations (vm.cpp).
+    bool probe_vertex = false;
   };
 
   enum class COp : unsigned char {
@@ -331,7 +338,8 @@ class VmProgram {
     std::vector<ArrayRange> ranges;
   };
   void run_probe(ProbeState& ps);
-  void probe_note(ProbeState& ps, const Access& a);
+  bool probe_vertices(ProbeState& ps, size_t enter_pc, i64 lo, i64 hi);
+  void probe_note(ProbeState& ps, const StmtInfo& s);
 };
 
 }  // namespace inlt

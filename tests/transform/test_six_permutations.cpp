@@ -28,6 +28,13 @@ struct PermCase {
   bool expect_legal;
 };
 
+// Without a printer gtest dumps the raw bytes of the struct, which
+// include the std::string's heap pointer, so every test listing (and
+// hence every discovered ctest name) would differ between runs.
+void PrintTo(const PermCase& pc, std::ostream* os) {
+  *os << pc.order << (pc.expect_legal ? " (legal)" : " (illegal)");
+}
+
 class SixPermutations : public ::testing::TestWithParam<PermCase> {};
 
 TEST_P(SixPermutations, CompleteGenerateVerify) {
