@@ -9,7 +9,6 @@
 #include "linalg/project.hpp"
 #include "support/check.hpp"
 #include "support/diag.hpp"
-#include "support/stats.hpp"
 #include "support/trace.hpp"
 
 namespace inlt {
@@ -431,11 +430,11 @@ CodegenResult generate_code(const IvLayout& src, const DependenceSet& deps,
                             const IntMat& m, const CodegenOptions& opts) {
   ScopedSpan span("codegen.generate", "codegen");
   AstRecovery rec = [&] {
-    ScopedTimer t("codegen.recover_ast");
+    ScopedSpan phase("codegen.recover_ast", "codegen");
     return recover_ast(src, m);
   }();
   LegalityResult legality = [&] {
-    ScopedTimer t("codegen.legality");
+    ScopedSpan phase("codegen.legality", "codegen");
     return check_legality(src, deps, m, rec);
   }();
   if (!legality.legal()) {
@@ -445,10 +444,10 @@ CodegenResult generate_code(const IvLayout& src, const DependenceSet& deps,
     throw DiagnosedTransformError(os.str(), legality.diagnostics);
   }
   std::vector<StatementPlan> plans = [&] {
-    ScopedTimer t("codegen.plan");
+    ScopedSpan phase("codegen.plan", "codegen");
     return plan_statements(src, deps, m, rec, legality, opts.pad);
   }();
-  ScopedTimer t("codegen.build");
+  ScopedSpan phase("codegen.build", "codegen");
   Program out = build_program(src, rec, plans);
   return {std::move(out), std::move(legality), std::move(plans)};
 }
@@ -457,11 +456,11 @@ ExactCodegenResult generate_code_exact(const IvLayout& src, const IntMat& m,
                                        const CodegenOptions& opts) {
   ScopedSpan span("codegen.generate_exact", "codegen");
   AstRecovery rec = [&] {
-    ScopedTimer t("codegen.recover_ast");
+    ScopedSpan phase("codegen.recover_ast", "codegen");
     return recover_ast(src, m);
   }();
   ExactLegalityResult legality = [&] {
-    ScopedTimer t("codegen.legality");
+    ScopedSpan phase("codegen.legality", "codegen");
     return check_legality_exact(src, m, rec, opts.pad);
   }();
   if (!legality.legal()) {
@@ -471,11 +470,11 @@ ExactCodegenResult generate_code_exact(const IvLayout& src, const IntMat& m,
     throw DiagnosedTransformError(os.str(), legality.diagnostics);
   }
   std::vector<StatementPlan> plans = [&] {
-    ScopedTimer t("codegen.plan");
+    ScopedSpan phase("codegen.plan", "codegen");
     return plan_statements_from_self(src, m, rec, legality.unsatisfied_self,
                                      opts.pad);
   }();
-  ScopedTimer t("codegen.build");
+  ScopedSpan phase("codegen.build", "codegen");
   Program out = build_program(src, rec, plans);
   return {std::move(out), std::move(legality), std::move(plans)};
 }

@@ -1,6 +1,7 @@
 #include "exec/array.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include "support/check.hpp"
 
@@ -43,9 +44,18 @@ void DenseArray::set(const std::vector<i64>& idx, double v) {
 double DenseArray::max_abs_diff(const DenseArray& o) const {
   INLT_CHECK_MSG(data_.size() == o.data_.size(), "array shape mismatch");
   double m = 0.0;
-  for (size_t i = 0; i < data_.size(); ++i)
-    m = std::max(m, std::fabs(data_[i] - o.data_[i]));
+  for (size_t i = 0; i < data_.size(); ++i) {
+    const double d = std::fabs(data_[i] - o.data_[i]);
+    if (std::isnan(d)) return d;
+    m = std::max(m, d);
+  }
   return m;
+}
+
+bool DenseArray::identical(const DenseArray& o) const {
+  return lo_ == o.lo_ && hi_ == o.hi_ &&
+         std::memcmp(data_.data(), o.data_.data(),
+                     data_.size() * sizeof(double)) == 0;
 }
 
 void Memory::declare(const std::string& name, std::vector<i64> lo,
@@ -68,9 +78,21 @@ const DenseArray& Memory::at(const std::string& name) const {
 double Memory::max_abs_diff(const Memory& o) const {
   INLT_CHECK_MSG(arrays_.size() == o.arrays_.size(), "memory shape mismatch");
   double m = 0.0;
-  for (const auto& [name, arr] : arrays_)
-    m = std::max(m, arr.max_abs_diff(o.at(name)));
+  for (const auto& [name, arr] : arrays_) {
+    const double d = arr.max_abs_diff(o.at(name));
+    if (std::isnan(d)) return d;
+    m = std::max(m, d);
+  }
   return m;
+}
+
+bool Memory::identical(const Memory& o) const {
+  if (arrays_.size() != o.arrays_.size()) return false;
+  for (const auto& [name, arr] : arrays_) {
+    auto it = o.arrays_.find(name);
+    if (it == o.arrays_.end() || !arr.identical(it->second)) return false;
+  }
+  return true;
 }
 
 }  // namespace inlt

@@ -33,8 +33,13 @@ class DenseArray {
   double get(const std::vector<i64>& idx) const;
   void set(const std::vector<i64>& idx, double v);
 
-  /// Elementwise maximum absolute difference; shapes must match.
+  /// Elementwise maximum absolute difference; shapes must match. NaN
+  /// when any element pair differs by NaN.
   double max_abs_diff(const DenseArray& o) const;
+
+  /// Same index ranges and bit-identical contents (so -0.0 != 0.0 and
+  /// a NaN equals only the same NaN).
+  bool identical(const DenseArray& o) const;
 
   const std::vector<double>& data() const { return data_; }
 
@@ -58,8 +63,12 @@ class Memory {
   std::map<std::string, DenseArray>& arrays() { return arrays_; }
   const std::map<std::string, DenseArray>& arrays() const { return arrays_; }
 
-  /// Max abs difference across all arrays (shapes must match).
+  /// Max abs difference across all arrays (shapes must match); NaN
+  /// propagates.
   double max_abs_diff(const Memory& o) const;
+
+  /// The same arrays, each DenseArray::identical to its namesake.
+  bool identical(const Memory& o) const;
 
  private:
   std::map<std::string, DenseArray> arrays_;

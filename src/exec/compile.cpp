@@ -373,7 +373,6 @@ class VmCompiler {
 VmProgram::VmProgram(const Program& p, const std::map<std::string, i64>& params,
                      Memory& mem) {
   ScopedSpan span("vm.compile", "exec");
-  ScopedTimer timer("exec.vm.compile_ns");
   VmCompiler c(p, params, &mem, *this);
   c.compile();
   Stats::global().add("exec.vm.compiles");
@@ -396,7 +395,6 @@ void VmProgram::rebind(Memory& mem) {
 std::map<std::string, VmProgram::Range> VmProgram::probe_ranges(
     const Program& p, const std::map<std::string, i64>& params) {
   ScopedSpan span("vm.probe", "exec");
-  ScopedTimer timer("exec.vm.probe_ns");
   VmProgram vm;
   VmCompiler c(p, params, nullptr, vm);
   c.compile();

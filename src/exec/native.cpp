@@ -328,7 +328,6 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
   }
 
   ScopedSpan span("native.compile", "exec");
-  ScopedTimer timer("exec.native.compile_ns");
   Stats::global().add("exec.native.compiles");
 
   const std::string tag =
@@ -437,7 +436,6 @@ InterpStats native_run(const NativeKernel& kernel,
   }
 
   ScopedSpan span("native.run", "exec");
-  ScopedTimer timer("exec.native.run_ns");
   i64 stats[3] = {0, 0, 0};
   char err[256] = {0};
   i64 rc = kernel.fn()(aptr.data(), shapes.data(), prm.data(),

@@ -113,7 +113,6 @@ InterpStats run_partitioned(const Program& p,
   if (marked == 0 || num_threads <= 1) return proto.run(opts);
 
   ScopedSpan span("vm.run_parallel", "exec");
-  ScopedTimer timer("exec.par.run_ns");
   const int n = num_threads;
   // Worker 0 drives the prototype; the others get private clones bound
   // to the same Memory (marks copy along).
@@ -154,7 +153,7 @@ InterpStats run_partitioned(const Program& p,
     }
   }
 
-  const i64 wall_t0 = profiled ? profile_now_ns() : 0;
+  const i64 wall_t0 = profiled ? now_ns() : 0;
   WorkerPool::shared().run(n, [&](int w) {
     if (traced)
       Tracer::global().set_thread_name("exec worker " + std::to_string(w));
@@ -166,7 +165,7 @@ InterpStats run_partitioned(const Program& p,
       barrier.abort();  // release the team; their waits throw kAborted
     }
   });
-  const i64 wall_ns = profiled ? profile_now_ns() - wall_t0 : 0;
+  const i64 wall_ns = profiled ? now_ns() - wall_t0 : 0;
 
   // Report the originating failure, not the abort echoes it caused.
   for (const std::string& e : errors)

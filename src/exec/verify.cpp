@@ -36,8 +36,7 @@ VerifyResult verify_equivalence(const Program& source,
                                 const Program& transformed,
                                 const std::map<std::string, i64>& params,
                                 FillKind fill_kind, unsigned seed,
-                                double tolerance, ExecEngine engine,
-                                const ExecPlan& plan) {
+                                ExecEngine engine, const ExecPlan& plan) {
   ScopedSpan span("exec.verify", "exec");
   Memory mem;
   declare_arrays(source, params, mem);
@@ -58,8 +57,7 @@ VerifyResult verify_equivalence(const Program& source,
   opts.partition = plan.target_partition;
   r.dst_instances = interpret(transformed, params, mem2, opts).instances;
   r.max_diff = mem.max_abs_diff(mem2);
-  r.equivalent =
-      r.max_diff <= tolerance && r.src_instances == r.dst_instances;
+  r.equivalent = r.src_instances == r.dst_instances && mem.identical(mem2);
   if (span.active()) {
     span.arg("equivalent", r.equivalent);
     span.arg("instances", r.src_instances);
@@ -70,12 +68,8 @@ VerifyResult verify_equivalence(const Program& source,
 VerifyReference::VerifyReference(const Program& source,
                                  const std::map<std::string, i64>& params,
                                  FillKind fill_kind, unsigned seed,
-                                 double tolerance, ExecEngine engine,
-                                 ExecPlan plan)
-    : params_(params),
-      tolerance_(tolerance),
-      engine_(engine),
-      plan_(std::move(plan)) {
+                                 ExecEngine engine, ExecPlan plan)
+    : params_(params), engine_(engine), plan_(std::move(plan)) {
   ScopedSpan span("exec.verify_reference", "exec");
   declare_arrays(source, params_, initial_);
   fill(initial_, fill_kind, seed);
@@ -95,7 +89,7 @@ VerifyResult VerifyReference::check(const Program& transformed) const {
 VerifyResult VerifyReference::check(
     const Program& transformed,
     const std::vector<std::string>& partition) const {
-  ScopedTimer timer("exec.verify.check_ns");
+  ScopedSpan span("exec.verify.check", "exec");
   VerifyResult r;
   r.src_instances = src_instances_;
   try {
@@ -112,7 +106,7 @@ VerifyResult VerifyReference::check(
     r.dst_instances = interpret(transformed, params_, mem, opts).instances;
     r.max_diff = mem.max_abs_diff(final_);
     r.equivalent =
-        r.max_diff <= tolerance_ && r.src_instances == r.dst_instances;
+        r.src_instances == r.dst_instances && mem.identical(final_);
   } catch (const Error& e) {
     r.error = e.what();
     r.equivalent = false;

@@ -2,10 +2,10 @@
 //
 // A transformed program is equivalent to its source when, run against
 // identical initial memory, it executes the same number of statement
-// instances and leaves every array in the same state. Cholesky-style
-// bodies (sqrt, division, subtraction chains) are order-sensitive in
-// floating point only up to reassociation noise, so comparison uses a
-// small tolerance.
+// instances and leaves every array bit-identical. A legal
+// transformation never reassociates — each instance evaluates the same
+// expression on the same operand values — so any difference, however
+// small, is a bug.
 #pragma once
 
 #include "exec/interp.hpp"
@@ -34,6 +34,8 @@ struct ExecPlan {
 
 struct VerifyResult {
   bool equivalent = false;
+  /// Largest absolute element difference, reported for diagnosis only
+  /// (NaN when a difference is NaN); `equivalent` compares bits.
   double max_diff = 0.0;
   i64 src_instances = 0;
   i64 dst_instances = 0;
@@ -52,7 +54,6 @@ VerifyResult verify_equivalence(const Program& source,
                                 const std::map<std::string, i64>& params,
                                 FillKind fill = FillKind::kSpd,
                                 unsigned seed = 1,
-                                double tolerance = 1e-9,
                                 ExecEngine engine = ExecEngine::kVm,
                                 const ExecPlan& plan = {});
 
@@ -66,7 +67,6 @@ class VerifyReference {
   VerifyReference(const Program& source,
                   const std::map<std::string, i64>& params,
                   FillKind fill = FillKind::kSpd, unsigned seed = 1,
-                  double tolerance = 1e-9,
                   ExecEngine engine = ExecEngine::kVm,
                   ExecPlan plan = {});
 
@@ -85,7 +85,6 @@ class VerifyReference {
 
  private:
   std::map<std::string, i64> params_;
-  double tolerance_;
   ExecEngine engine_;
   ExecPlan plan_;
   Memory initial_;  ///< declared from the source, filled

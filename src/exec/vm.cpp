@@ -248,7 +248,7 @@ InterpStats VmProgram::run_impl(const InterpOptions& opts) {
   for (;;) {
     const CInst& in = code_[pc];
     i64 t0 = 0;
-    if constexpr (kProfile) t0 = profile_now_ns();
+    if constexpr (kProfile) t0 = now_ns();
     switch (in.op) {
       case COp::kGuards:
         if (guards_hold(guard_sets_[in.arg])) {
@@ -297,7 +297,7 @@ InterpStats VmProgram::run_impl(const InterpOptions& opts) {
         return st;
     }
     if constexpr (kProfile) {
-      i64 dt = profile_now_ns() - t0;
+      i64 dt = now_ns() - t0;
       switch (in.op) {
         case COp::kGuards:
           hist->guards->record(dt);
@@ -321,7 +321,6 @@ InterpStats VmProgram::run_impl(const InterpOptions& opts) {
 
 InterpStats VmProgram::run(const InterpOptions& opts) {
   ScopedSpan span("vm.run", "exec");
-  ScopedTimer timer("exec.vm.run_ns");
   probe_ = opts.cache_probe;
   if (probe_) {
     INLT_CHECK_MSG(probe_->line_elems > 0 &&
@@ -412,10 +411,10 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
           // Entry barrier first: serial writes preceding the loop
           // (worker 0) must be visible before any chunk starts
           // reading.
-          i64 t0 = prof ? profile_now_ns() : 0;
+          i64 t0 = prof ? now_ns() : 0;
           barrier.arrive_and_wait();
           if (prof) {
-            i64 waited = profile_now_ns() - t0;
+            i64 waited = now_ns() - t0;
             prof->barrier_wait_ns += waited;
             if (instr_.wait_ns) instr_.wait_ns->record(waited);
           }
@@ -439,11 +438,11 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
           if (b >= e) {
             // Empty chunk (more workers than iterations): arrive at
             // the exit barrier immediately and move past the loop.
-            i64 t1 = prof ? profile_now_ns() : 0;
+            i64 t1 = prof ? now_ns() : 0;
             if (prof) ++prof->empty_chunks;
             barrier.arrive_and_wait();
             if (prof) {
-              i64 waited = profile_now_ns() - t1;
+              i64 waited = now_ns() - t1;
               prof->barrier_wait_ns += waited;
               if (instr_.wait_ns) instr_.wait_ns->record(waited);
             }
@@ -459,9 +458,8 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
           in_chunk = true;
           chunk_profiled_ = prof != nullptr;
           chunk_traced_ = traced;
-          if (prof) chunk_t0_ = profile_now_ns();
+          if (prof || traced) chunk_t0_ = now_ns();
           if (traced) {
-            chunk_trace_t0_ = Tracer::global().now_ns();
             if (instr_.active_workers) {
               int a = instr_.active_workers->fetch_add(
                           1, std::memory_order_relaxed) +
@@ -499,9 +497,10 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
             // read what other workers' chunks wrote.
             in_chunk = false;
             WorkerProfile* prof = chunk_profiled_ ? instr_.prof : nullptr;
-            i64 t1 = 0;
+            // One clock read closes the chunk for both the profile
+            // and the trace event.
+            const i64 t1 = prof || chunk_traced_ ? now_ns() : 0;
             if (prof) {
-              t1 = profile_now_ns();
               i64 dur = t1 - chunk_t0_;
               prof->busy_ns += dur;
               ++prof->chunks;
@@ -515,8 +514,8 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
               TraceEvent ev;
               ev.name = "chunk";
               ev.cat = "exec.worker";
-              ev.start_ns = chunk_trace_t0_;
-              ev.dur_ns = tr.now_ns() - chunk_trace_t0_;
+              ev.start_ns = tr.since_enable(chunk_t0_);
+              ev.dur_ns = t1 - chunk_t0_;
               ev.args.push_back(TraceArg{"loop", L.var, true});
               ev.args.push_back(
                   TraceArg{"worker", std::to_string(worker), false});
@@ -536,7 +535,7 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
             }
             barrier.arrive_and_wait();
             if (prof) {
-              i64 waited = profile_now_ns() - t1;
+              i64 waited = now_ns() - t1;
               prof->barrier_wait_ns += waited;
               if (instr_.wait_ns) instr_.wait_ns->record(waited);
             }

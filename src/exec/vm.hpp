@@ -319,8 +319,7 @@ class VmProgram {
   int probe_shift_ = 0;
   // Worker instrumentation (run_worker only; per-clone, so unshared).
   WorkerInstr instr_;
-  i64 chunk_t0_ = 0;        // profile clock at current chunk start
-  i64 chunk_trace_t0_ = 0;  // tracer clock at current chunk start
+  i64 chunk_t0_ = 0;  // now_ns() at current chunk start
   bool chunk_profiled_ = false;
   bool chunk_traced_ = false;
   std::vector<i64> env_;    // loop variable values, by slot

@@ -54,7 +54,6 @@ std::vector<Rational> subscript_strides(const ArrayAccess& a,
 
 CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
                            const AstRecovery& rec, const ModelOptions& opts) {
-  ScopedTimer timer("model.estimate_ns");
   ScopedSpan span("model.estimate", "model");
   Stats::global().add("model.estimates");
   CostEstimate est;

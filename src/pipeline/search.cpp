@@ -1,7 +1,6 @@
 #include "pipeline/search.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -152,7 +151,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
     engine_ = std::make_unique<IncrementalLegality>(*layout_, deps_);
 
   ScopedSpan run_span("search.run", "search");
-  const auto t0 = std::chrono::steady_clock::now();
+  const i64 t0 = now_ns();
 
   // Exact subtree sizes per depth (prefix-independent by the
   // generator contract) — what index arithmetic under pruning uses.
@@ -209,7 +208,6 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
     ModelOptions mopts = sopts.model;
     mopts.pad = opts_.codegen.pad;
     mopts.exec_threads = sopts.exec_threads;
-    HistogramCell* cost_hist = &Stats::global().histogram("search.cost_ns");
     pipe.add(StageKind::kComplete, /*deferred=*/true, [this](Candidate& c) {
       try {
         c.recovery.emplace(recover_ast(*layout_, c.matrix));
@@ -222,22 +220,16 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
         c.result.error = e.what();
       }
     });
-    pipe.add(StageKind::kCost, /*deferred=*/true,
-             [this, mopts, cost_hist](Candidate& c) {
-               if (!c.recovery) return;
-               const auto s0 = std::chrono::steady_clock::now();
-               try {
-                 c.cost.emplace(estimate_cost(*layout_, deps_, c.matrix,
-                                              *c.recovery, mopts));
-               } catch (const Error&) {
-                 // Unrankable, not illegal: the hit survives with no
-                 // estimate and sorts after every scored one.
-               }
-               cost_hist->record(
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::steady_clock::now() - s0)
-                       .count());
-             });
+    pipe.add(StageKind::kCost, /*deferred=*/true, [this, mopts](Candidate& c) {
+      if (!c.recovery) return;
+      try {
+        c.cost.emplace(
+            estimate_cost(*layout_, deps_, c.matrix, *c.recovery, mopts));
+      } catch (const Error&) {
+        // Unrankable, not illegal: the hit survives with no estimate
+        // and sorts after every scored one.
+      }
+    });
   }
   if (full) {
     pipe.add(StageKind::kCodegen, /*deferred=*/true, [this](Candidate& c) {
@@ -299,12 +291,6 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   const bool deferred = pipe.has_deferred();
   if (run_span.active()) run_span.arg("pipeline", pipe.describe());
 
-  // Per-candidate decision time is recorded only in full mode: the
-  // legality-only filter decides millions of candidates per second and
-  // even two clock reads per leaf would dominate it.
-  HistogramCell* cand_hist =
-      full ? &Stats::global().histogram("search.candidate_ns") : nullptr;
-
   // Survivors of the legality walk, in enumeration order, finished
   // after the walk (the IncrementalLegality engine is stateful, so the
   // walk itself stays sequential; the deferred stages are not).
@@ -319,9 +305,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
     p.total = acc.stats().candidates_total;
     p.legal = acc.stats().legal;
     p.pruned = acc.stats().pruned_candidates;
-    p.elapsed_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    p.elapsed_s = static_cast<double>(now_ns() - t0) / 1e9;
     p.rate = p.elapsed_s > 0 ? static_cast<double>(done) / p.elapsed_s : 0;
     p.prune_rate = done > 0 ? static_cast<double>(p.pruned) / done : 0;
     p.eta_s = p.rate > 0 ? static_cast<double>(p.total - done) / p.rate : 0;
@@ -403,18 +387,12 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
         plan.source_partition =
             source_parallel_schedule(*layout_, deps_).partition;
       ref.emplace(*program_, sopts.verify_params, sopts.verify_fill,
-                  sopts.verify_seed, /*tolerance=*/1e-9, sopts.verify_engine,
-                  plan);
+                  sopts.verify_seed, sopts.verify_engine, plan);
     }
     auto eval_one = [&](size_t i) {
       Candidate& c = pending[i];
       ScopedSpan cs("search.candidate", "search");
-      const auto c0 = std::chrono::steady_clock::now();
       pipe.run_deferred(c);
-      if (cand_hist)
-        cand_hist->record(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - c0)
-                              .count());
       if (cs.active()) {
         cs.arg("index", c.index);
         cs.arg("legal", c.result.legal);

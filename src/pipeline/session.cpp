@@ -39,7 +39,6 @@ TransformSession::TransformSession(Program program, SessionOptions opts)
     ScopedSpan span("session.layout", "session");
     layout_ = std::make_unique<IvLayout>(*program_);
   }
-  ScopedTimer t("session.analyze");
   ScopedSpan span("session.analyze", "session");
   deps_ = analyze_dependences(*layout_, opts_.analyzer);
   if (span.active())

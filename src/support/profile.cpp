@@ -2,7 +2,6 @@
 #include "support/profile.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <iomanip>
 #include <map>
 #include <sstream>
@@ -10,12 +9,6 @@
 #include "support/json.hpp"
 
 namespace inlt {
-
-i64 profile_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 i64 ProfileReport::total_busy_ns() const {
   i64 n = 0;

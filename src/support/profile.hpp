@@ -151,8 +151,4 @@ class ExecProfiler {
   std::vector<ProfileReport> reports_;
 };
 
-/// Monotonic nanoseconds for profile timestamps (raw steady clock; the
-/// report only ever uses differences).
-i64 profile_now_ns();
-
 }  // namespace inlt

@@ -1,23 +1,12 @@
 #include "support/stats.hpp"
 
 #include <bit>
-#include <chrono>
 #include <iomanip>
 #include <sstream>
 
 #include "support/json.hpp"
 
 namespace inlt {
-
-namespace {
-
-i64 now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 int hist_bucket(i64 value) {
   if (value <= 0) return 0;
@@ -53,25 +42,6 @@ i64 Stats::value(const std::string& name) const {
              : it->second->load(std::memory_order_relaxed);
 }
 
-void Stats::add_time_ns(const std::string& name, i64 ns) {
-  Timer* t;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = timers_[name];
-    if (!slot) slot = std::make_unique<Timer>();
-    t = slot.get();
-  }
-  t->ns.fetch_add(ns, std::memory_order_relaxed);
-  t->count.fetch_add(1, std::memory_order_relaxed);
-}
-
-i64 Stats::time_ns(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = timers_.find(name);
-  return it == timers_.end() ? 0
-                             : it->second->ns.load(std::memory_order_relaxed);
-}
-
 HistogramCell& Stats::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
@@ -94,13 +64,6 @@ StatsSnapshot StatsSnapshot::operator-(const StatsSnapshot& base) const {
     auto it = base.counters.find(name);
     if (it != base.counters.end()) v -= it->second;
   }
-  for (auto& [name, t] : d.timers) {
-    auto it = base.timers.find(name);
-    if (it != base.timers.end()) {
-      t.ns -= it->second.ns;
-      t.count -= it->second.count;
-    }
-  }
   for (auto& [name, h] : d.histograms) {
     auto it = base.histograms.find(name);
     if (it != base.histograms.end()) {
@@ -118,10 +81,6 @@ StatsSnapshot Stats::snapshot() const {
   StatsSnapshot s;
   for (const auto& [name, c] : counters_)
     s.counters[name] = c->load(std::memory_order_relaxed);
-  for (const auto& [name, t] : timers_)
-    s.timers[name] = StatsSnapshot::TimerValue{
-        t->ns.load(std::memory_order_relaxed),
-        t->count.load(std::memory_order_relaxed)};
   for (const auto& [name, h] : histograms_) {
     StatsSnapshot::HistogramValue v;
     v.count = h->count();
@@ -135,10 +94,6 @@ StatsSnapshot Stats::snapshot() const {
 void Stats::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->store(0, std::memory_order_relaxed);
-  for (auto& [name, t] : timers_) {
-    t->ns.store(0, std::memory_order_relaxed);
-    t->count.store(0, std::memory_order_relaxed);
-  }
   for (auto& [name, h] : histograms_) h->reset();
 }
 
@@ -146,25 +101,12 @@ std::string Stats::to_text() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t width = 0;
   for (const auto& [name, c] : counters_) width = std::max(width, name.size());
-  for (const auto& [name, t] : timers_) width = std::max(width, name.size());
   for (const auto& [name, h] : histograms_)
     width = std::max(width, name.size());
   std::ostringstream os;
   for (const auto& [name, c] : counters_)
     os << std::left << std::setw(static_cast<int>(width) + 2) << name
        << c->load(std::memory_order_relaxed) << "\n";
-  for (const auto& [name, t] : timers_) {
-    i64 ns = t->ns.load(std::memory_order_relaxed);
-    i64 calls = t->count.load(std::memory_order_relaxed);
-    os << std::left << std::setw(static_cast<int>(width) + 2) << name
-       << std::fixed << std::setprecision(3)
-       << static_cast<double>(ns) / 1e6 << " ms (" << calls << " calls";
-    if (calls > 0)
-      os << ", " << std::setprecision(1)
-         << static_cast<double>(ns) / 1e3 / static_cast<double>(calls)
-         << " us/call";
-    os << ")\n";
-  }
   for (const auto& [name, h] : histograms_) {
     i64 count = h->count();
     os << std::left << std::setw(static_cast<int>(width) + 2) << name
@@ -192,15 +134,6 @@ std::string Stats::to_json() const {
     os << "\"" << json_escape(name)
        << "\":" << c->load(std::memory_order_relaxed);
   }
-  os << "},\"timers\":{";
-  first = true;
-  for (const auto& [name, t] : timers_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << json_escape(name)
-       << "\":{\"ns\":" << t->ns.load(std::memory_order_relaxed)
-       << ",\"count\":" << t->count.load(std::memory_order_relaxed) << "}";
-  }
   os << "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
@@ -220,13 +153,6 @@ std::string Stats::to_json() const {
   }
   os << "}}";
   return os.str();
-}
-
-ScopedTimer::ScopedTimer(std::string name)
-    : name_(std::move(name)), start_ns_(now_ns()) {}
-
-ScopedTimer::~ScopedTimer() {
-  Stats::global().add_time_ns(name_, now_ns() - start_ns_);
 }
 
 }  // namespace inlt

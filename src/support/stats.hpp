@@ -1,11 +1,12 @@
-// Lightweight pipeline instrumentation: named counters and timers.
+// Lightweight pipeline instrumentation: named counters and histograms.
 //
 // The hot paths of the framework (Fourier–Motzkin elimination, the
 // Omega test, legality checks, the session projection cache) bump
-// counters here; code-generation stages record wall time. One global
-// registry serves the whole process — increments are relaxed atomics,
-// so instrumented code stays thread-safe and cheap — and the whole
-// registry can be dumped as aligned text or JSON (`inltc --stats`).
+// counters here. One global registry serves the whole process —
+// increments are relaxed atomics, so instrumented code stays
+// thread-safe and cheap — and the whole registry can be dumped as
+// aligned text or JSON (`inltc --stats`). Stats holds counts and
+// sizes only: stage wall time is a ScopedSpan (support/trace.hpp).
 //
 // Counter references returned by `counter()` are stable for the life
 // of the process; `reset()` zeroes values without invalidating them,
@@ -63,15 +64,11 @@ class HistogramCell {
   std::array<std::atomic<i64>, kHistBuckets> buckets_{};
 };
 
-/// Point-in-time copy of every counter, timer and histogram.
+/// Point-in-time copy of every counter and histogram.
 /// Subtracting two snapshots gives the deltas accumulated between
 /// them — how the benchmarks attribute global counters to one
 /// measured phase.
 struct StatsSnapshot {
-  struct TimerValue {
-    i64 ns = 0;
-    i64 count = 0;
-  };
   struct HistogramValue {
     i64 count = 0;
     i64 sum = 0;
@@ -83,7 +80,6 @@ struct StatsSnapshot {
     }
   };
   std::map<std::string, i64> counters;
-  std::map<std::string, TimerValue> timers;
   std::map<std::string, HistogramValue> histograms;
 
   /// Value of a counter in this snapshot (0 if absent).
@@ -109,12 +105,6 @@ class Stats {
   /// Current value of a counter (0 if never touched).
   i64 value(const std::string& name) const;
 
-  /// Accumulate `ns` nanoseconds (and one invocation) on a timer.
-  void add_time_ns(const std::string& name, i64 ns);
-
-  /// Total nanoseconds recorded on a timer (0 if never touched).
-  i64 time_ns(const std::string& name) const;
-
   /// Named log₂-bucketed histogram; created zeroed on first use. The
   /// reference stays valid forever (cache it on hot paths).
   HistogramCell& histogram(const std::string& name);
@@ -122,19 +112,18 @@ class Stats {
   /// histogram(name).record(value).
   void add_sample(const std::string& name, i64 value);
 
-  /// Zero every counter and timer (references stay valid).
+  /// Zero every counter and histogram (references stay valid).
   void reset();
 
-  /// Copy every current counter and timer value.
+  /// Copy every current counter and histogram value.
   StatsSnapshot snapshot() const;
 
-  /// Aligned "name  value" lines: counters first, then timers (as
-  /// milliseconds with invocation counts and mean per invocation),
-  /// then histograms (count/mean plus the non-empty log₂ buckets).
-  /// Zero entries included.
+  /// Aligned "name  value" lines: counters first, then histograms
+  /// (count/mean plus the non-empty log₂ buckets). Zero entries
+  /// included.
   std::string to_text() const;
 
-  /// {"counters":{...},"timers":{name:{"ns":..,"count":..},...},
+  /// {"counters":{...},
   ///  "histograms":{name:{"count":..,"sum":..,"buckets":{lo:n,...}}}}.
   std::string to_json() const;
 
@@ -143,29 +132,10 @@ class Stats {
   Stats& operator=(const Stats&) = delete;
 
  private:
-  struct Timer {
-    std::atomic<i64> ns{0};
-    std::atomic<i64> count{0};
-  };
   // unique_ptr keeps addresses stable across map growth.
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<std::atomic<i64>>> counters_;
-  std::map<std::string, std::unique_ptr<Timer>> timers_;
   std::map<std::string, std::unique_ptr<HistogramCell>> histograms_;
-};
-
-/// Adds the elapsed wall time to `Stats::global()` timer `name` on
-/// destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string name);
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  std::string name_;
-  i64 start_ns_;
 };
 
 }  // namespace inlt

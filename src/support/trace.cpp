@@ -10,27 +10,19 @@
 
 namespace inlt {
 
-namespace {
-
-i64 steady_ns() {
+i64 now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-}  // namespace
 
 Tracer& Tracer::global() {
   static Tracer t;
   return t;
 }
 
-i64 Tracer::now_ns() const {
-  return steady_ns() - epoch_ns_.load(std::memory_order_relaxed);
-}
-
 void Tracer::enable() {
-  epoch_ns_.store(steady_ns(), std::memory_order_relaxed);
+  epoch_ns_.store(now_ns(), std::memory_order_relaxed);
   g_enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -64,7 +56,7 @@ void Tracer::counter(const char* name, const char* cat, const char* key,
   TraceEvent e;
   e.name = name;
   e.cat = cat;
-  e.start_ns = now_ns();
+  e.start_ns = since_enable(now_ns());
   e.ph = 'C';
   e.args.push_back(TraceArg{key, std::to_string(value), false});
   record(std::move(e));
@@ -262,12 +254,13 @@ void ScopedSpan::arg(const char* key, bool v) {
 }
 
 void ScopedSpan::finish() {
+  const i64 end_ns = now_ns();
   Tracer& tracer = Tracer::global();
   TraceEvent e;
   e.name = name_;
   e.cat = cat_;
-  e.start_ns = start_ns_;
-  e.dur_ns = tracer.now_ns() - start_ns_;
+  e.start_ns = tracer.since_enable(start_ns_);
+  e.dur_ns = end_ns - start_ns_;
   e.args = std::move(args_);
   tracer.record(std::move(e));
 }

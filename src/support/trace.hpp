@@ -10,7 +10,7 @@
 // Overhead contract: tracing is disabled by default, and a disabled
 // span's constructor is one relaxed atomic load (no clock read, no
 // allocation, no lock) — hot paths may be instrumented unconditionally.
-// When enabled, each completed span takes two steady_clock reads plus
+// When enabled, each completed span takes two now_ns() reads plus
 // one push onto the calling thread's buffer under that buffer's
 // (uncontended) mutex; arg strings are built only when the owning span
 // is active, so callers may guard expensive arg construction with
@@ -36,6 +36,11 @@
 #include "support/checked_int.hpp"
 
 namespace inlt {
+
+/// Monotonic steady-clock nanoseconds: the one clock every span,
+/// profile and progress report in the framework reads. Only
+/// differences are meaningful.
+i64 now_ns();
 
 /// One key/value pair attached to a span. Values are either raw JSON
 /// numbers or strings (escaped at export time).
@@ -112,8 +117,10 @@ class Tracer {
   /// not tracing is enabled; the name survives clear().
   void set_thread_name(const std::string& name);
 
-  /// Steady-clock ns relative to the enable() epoch.
-  i64 now_ns() const;
+  /// Trace time of the now_ns() instant `t`: ns since enable().
+  i64 since_enable(i64 t) const {
+    return t - epoch_ns_.load(std::memory_order_relaxed);
+  }
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -143,7 +150,7 @@ class ScopedSpan {
  public:
   ScopedSpan(const char* name, const char* cat)
       : active_(Tracer::enabled()), name_(name), cat_(cat) {
-    if (active_) start_ns_ = Tracer::global().now_ns();
+    if (active_) start_ns_ = now_ns();
   }
   ~ScopedSpan() {
     if (active_) finish();
@@ -167,7 +174,7 @@ class ScopedSpan {
   bool active_;
   const char* name_;
   const char* cat_;
-  i64 start_ns_ = 0;
+  i64 start_ns_ = 0;  ///< now_ns() at construction
   std::vector<TraceArg> args_;
 };
 

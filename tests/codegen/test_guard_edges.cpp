@@ -30,8 +30,7 @@ InterpStats vm_stats(const Program& p, i64 n) {
 void expect_equivalent(const Program& src, const Program& dst, i64 n,
                        FillKind fill = FillKind::kRandom) {
   VerifyResult v = verify_equivalence(src, dst, {{"N", n}}, fill,
-                                      /*seed=*/1, /*tolerance=*/1e-9,
-                                      ExecEngine::kVm);
+                                      /*seed=*/1, ExecEngine::kVm);
   EXPECT_TRUE(v.equivalent)
       << "N=" << n << ": " << v.to_string() << "\n" << print_program(dst);
 }

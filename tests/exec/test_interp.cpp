@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <tuple>
@@ -276,6 +277,51 @@ end
 )");
   VerifyResult v = verify_equivalence(a, b, {{"N", 5}}, FillKind::kRandom);
   EXPECT_FALSE(v.equivalent);
+}
+
+TEST(Verify, NanOutputIsNotEquivalent) {
+  // A(I) - 5 is negative for every random input in [0, 1), so the
+  // second program writes NaN everywhere. |x - NaN| is NaN, and a
+  // max-based fold that drops NaN would report max_diff 0 and call the
+  // pair equivalent; the bitwise comparison must not.
+  Program a = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = sqrt(A(I))
+end
+)");
+  Program b = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = sqrt(A(I) - 5)
+end
+)");
+  VerifyResult v = verify_equivalence(a, b, {{"N", 8}}, FillKind::kRandom);
+  EXPECT_FALSE(v.equivalent) << v.to_string();
+  EXPECT_TRUE(std::isnan(v.max_diff)) << v.to_string();
+  VerifyReference ref(a, {{"N", 8}}, FillKind::kRandom);
+  VerifyResult r = ref.check(b);
+  EXPECT_FALSE(r.equivalent) << r.to_string();
+  EXPECT_TRUE(std::isnan(r.max_diff)) << r.to_string();
+}
+
+TEST(Verify, SignedZeroIsADifference) {
+  // Bit-identical means -0.0 != 0.0, although their difference is 0.
+  Program a = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = A(I) * 0.0
+end
+)");
+  Program b = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = A(I) * (0.0 - 1.0) * 0.0
+end
+)");
+  VerifyResult v = verify_equivalence(a, b, {{"N", 4}}, FillKind::kRandom);
+  EXPECT_EQ(v.max_diff, 0.0);
+  EXPECT_FALSE(v.equivalent) << v.to_string();
 }
 
 TEST(Verify, EquivalentOnIdentity) {

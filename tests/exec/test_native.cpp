@@ -236,11 +236,10 @@ TEST_F(NativeTest, VerifyEquivalenceThroughNativeEngine) {
   IntMat m = loop_skew(layout, "J", "I", 1);
   CodegenResult res = generate_code(layout, deps, m);
   VerifyResult nat = verify_equivalence(p, res.program, {{"N", 12}},
-                                        FillKind::kRandom, 1, 1e-9,
+                                        FillKind::kRandom, 1,
                                         ExecEngine::kNative);
   VerifyResult vm = verify_equivalence(p, res.program, {{"N", 12}},
-                                       FillKind::kRandom, 1, 1e-9,
-                                       ExecEngine::kVm);
+                                       FillKind::kRandom, 1, ExecEngine::kVm);
   EXPECT_TRUE(nat.equivalent);
   EXPECT_TRUE(vm.equivalent);
   EXPECT_EQ(nat.max_diff, vm.max_diff);

@@ -294,10 +294,9 @@ TEST(Vm, VerifyEquivalenceAgreesAcrossEngines) {
   IntMat m = loop_skew(layout, "J", "I", 1);
   CodegenResult res = generate_code(layout, deps, m);
   VerifyResult vm_r = verify_equivalence(p, res.program, {{"N", 12}},
-                                         FillKind::kRandom, 1, 1e-9,
-                                         ExecEngine::kVm);
+                                         FillKind::kRandom, 1, ExecEngine::kVm);
   VerifyResult ast_r = verify_equivalence(p, res.program, {{"N", 12}},
-                                          FillKind::kRandom, 1, 1e-9,
+                                          FillKind::kRandom, 1,
                                           ExecEngine::kAstWalker);
   EXPECT_TRUE(vm_r.equivalent);
   EXPECT_TRUE(ast_r.equivalent);

@@ -4,9 +4,13 @@
 // rejection provenance — with or without semantic verification.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "ir/gallery.hpp"
 #include "ir/printer.hpp"
 #include "pipeline/search.hpp"
+#include "support/trace.hpp"
 
 namespace inlt {
 namespace {
@@ -160,6 +164,66 @@ TEST(SearchParallel, LegalityOnlyModeUnaffectedByThreadCount) {
   ASSERT_EQ(seq.hits.size(), par.hits.size());
   for (size_t i = 0; i < seq.hits.size(); ++i)
     EXPECT_EQ(seq.hits[i].index, par.hits[i].index);
+}
+
+TEST(SearchParallel, TracingChangesNothingAndTimesEveryStage) {
+  // Spans are the only stage timer: a traced search must return
+  // exactly what an untraced one does, and its trace must carry a span
+  // for every stage of the run, the codegen phases nested inside
+  // codegen.generate. Verification runs serially (vm.run) at one exec
+  // thread and partitioned (vm.run_parallel) at two.
+  const std::set<std::string> phases = {"codegen.recover_ast",
+                                        "codegen.legality", "codegen.plan",
+                                        "codegen.build"};
+  Tracer& tracer = Tracer::global();
+  std::set<std::string> names;
+  for (int exec_threads : {1, 2}) {
+    SearchOptions sopts;
+    sopts.cost = true;
+    sopts.tile = true;
+    sopts.verify_params = {{"N", 8}};
+    sopts.exec_threads = exec_threads;
+    tracer.disable();
+    SearchResult untraced = run_search(&gallery::cholesky, 2, {}, sopts);
+    tracer.clear();
+    tracer.enable();
+    SearchResult traced = run_search(&gallery::cholesky, 2, {}, sopts);
+    tracer.disable();
+    const std::vector<TraceEvent> events = tracer.events();
+    tracer.clear();
+
+    EXPECT_GT(untraced.stats.verified, 0);
+    EXPECT_EQ(untraced.stats.verify_failed, 0);
+    expect_identical(untraced, traced);
+    for (size_t i = 0; i < untraced.hits.size(); ++i) {
+      ASSERT_EQ(untraced.hits[i].cost.has_value(),
+                traced.hits[i].cost.has_value());
+      if (untraced.hits[i].cost.has_value()) {
+        EXPECT_EQ(untraced.hits[i].cost->total_lines,
+                  traced.hits[i].cost->total_lines);
+      }
+    }
+
+    for (const TraceEvent& e : events) {
+      if (e.ph != 'X') continue;
+      names.insert(e.name);
+      if (!phases.count(e.name)) continue;
+      // A codegen phase lies inside a codegen.generate span of its
+      // own thread.
+      bool nested = false;
+      for (const TraceEvent& g : events)
+        nested |= g.ph == 'X' && std::string(g.name) == "codegen.generate" &&
+                  g.tid == e.tid && g.start_ns <= e.start_ns &&
+                  e.start_ns + e.dur_ns <= g.start_ns + g.dur_ns;
+      EXPECT_TRUE(nested) << e.name << " outside codegen.generate";
+    }
+  }
+  for (const char* want :
+       {"session.analyze", "model.estimate", "codegen.generate",
+        "codegen.recover_ast", "codegen.legality", "codegen.plan",
+        "codegen.build", "exec.verify.check", "vm.compile", "vm.probe",
+        "vm.run", "vm.run_parallel"})
+    EXPECT_TRUE(names.count(want)) << "no " << want << " span";
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
-// Stats registry: counters, timers, reset semantics, text/JSON dumps.
+// Stats registry: counters, histograms, reset semantics, text/JSON
+// dumps.
 #include "support/stats.hpp"
 
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
+
+#include "support/trace.hpp"
 
 namespace inlt {
 namespace {
@@ -36,16 +39,6 @@ TEST(Stats, CounterReferenceSurvivesResetAndGrowth) {
   EXPECT_EQ(s.value("ref.a"), 3);
 }
 
-TEST(Stats, TimersAccumulate) {
-  Stats s;
-  EXPECT_EQ(s.time_ns("t"), 0);
-  s.add_time_ns("t", 1000);
-  s.add_time_ns("t", 500);
-  EXPECT_EQ(s.time_ns("t"), 1500);
-  s.reset();
-  EXPECT_EQ(s.time_ns("t"), 0);
-}
-
 TEST(Stats, ConcurrentIncrementsAreExact) {
   Stats s;
   std::atomic<i64>& c = s.counter("mt");
@@ -61,44 +54,48 @@ TEST(Stats, ConcurrentIncrementsAreExact) {
 TEST(Stats, TextDumpListsCountersAndTimers) {
   Stats s;
   s.add("fm.eliminations", 12);
-  s.add_time_ns("codegen.build", 2'000'000);
   std::string text = s.to_text();
   EXPECT_NE(text.find("fm.eliminations"), std::string::npos) << text;
   EXPECT_NE(text.find("12"), std::string::npos) << text;
-  EXPECT_NE(text.find("codegen.build"), std::string::npos) << text;
+  // Stage wall time is a span: it is listed by the trace summary and
+  // never by the Stats dump.
+  Tracer& tr = Tracer::global();
+  tr.clear();
+  tr.enable();
+  { ScopedSpan span("codegen.build", "codegen"); }
+  tr.disable();
+  std::string summary = tr.summary_text();
+  tr.clear();
+  EXPECT_NE(summary.find("codegen.build"), std::string::npos) << summary;
+  EXPECT_EQ(s.to_text().find("codegen.build"), std::string::npos);
 }
 
 TEST(Stats, JsonDumpShape) {
   Stats s;
   s.add("c1", 3);
-  s.add_time_ns("t1", 42);
+  s.add_sample("h1", 42);
   std::string j = s.to_json();
-  EXPECT_NE(j.find("\"counters\""), std::string::npos) << j;
+  // Exactly two keys: counters and histograms.
+  EXPECT_EQ(j.rfind("{\"counters\":{", 0), 0u) << j;
   EXPECT_NE(j.find("\"c1\":3"), std::string::npos) << j;
-  EXPECT_NE(j.find("\"timers\""), std::string::npos) << j;
-  EXPECT_NE(j.find("\"t1\""), std::string::npos) << j;
-  EXPECT_NE(j.find("\"ns\":42"), std::string::npos) << j;
-  EXPECT_NE(j.find("\"count\":1"), std::string::npos) << j;
+  EXPECT_NE(j.find("},\"histograms\":{\"h1\":"), std::string::npos) << j;
+  EXPECT_EQ(j.find("\"timers\""), std::string::npos) << j;
 }
 
 TEST(Stats, SnapshotDeltaIsolatesOnePhase) {
   Stats s;
   s.add("phase.counter", 10);
-  s.add_time_ns("phase.timer", 1000);
   StatsSnapshot before = s.snapshot();
   EXPECT_EQ(before.counter("phase.counter"), 10);
   EXPECT_EQ(before.counter("never.touched"), 0);
 
   s.add("phase.counter", 7);
   s.add("phase.fresh", 3);  // key born after the base snapshot
-  s.add_time_ns("phase.timer", 500);
 
   StatsSnapshot delta = s.snapshot() - before;
   EXPECT_EQ(delta.counter("phase.counter"), 7);
   EXPECT_EQ(delta.counter("phase.fresh"), 3);
   EXPECT_EQ(delta.counter("never.touched"), 0);
-  EXPECT_EQ(delta.timers.at("phase.timer").ns, 500);
-  EXPECT_EQ(delta.timers.at("phase.timer").count, 1);
 }
 
 TEST(Stats, SnapshotUnaffectedByLaterMutation) {
@@ -170,45 +167,6 @@ TEST(Stats, SnapshotDeltaSubtractsHistograms) {
   EXPECT_EQ(hv.buckets[hist_bucket(4)], 1);
   EXPECT_EQ(hv.buckets[hist_bucket(100)], 1);
   EXPECT_DOUBLE_EQ(hv.mean(), 52.0);
-}
-
-TEST(Stats, SnapshotDeltaSubtractsTimerCounts) {
-  Stats s;
-  s.add_time_ns("sub.t", 100);
-  s.add_time_ns("sub.t", 100);
-  StatsSnapshot before = s.snapshot();
-  s.add_time_ns("sub.t", 50);
-  s.add_time_ns("sub.t", 50);
-  s.add_time_ns("sub.t", 50);
-  StatsSnapshot delta = s.snapshot() - before;
-  EXPECT_EQ(delta.timers.at("sub.t").ns, 150);
-  EXPECT_EQ(delta.timers.at("sub.t").count, 3);
-  // Keys only in the base vanish from the delta rather than going
-  // negative-from-zero.
-  EXPECT_EQ(before.timers.at("sub.t").count, 2);
-}
-
-TEST(Stats, TimerTextIncludesMeanPerInvocation) {
-  Stats s;
-  s.add_time_ns("mean.t", 2'000'000);
-  s.add_time_ns("mean.t", 4'000'000);
-  std::string text = s.to_text();
-  // 6 ms over 2 calls = 3000 us/call.
-  EXPECT_NE(text.find("mean.t"), std::string::npos) << text;
-  EXPECT_NE(text.find("us/call"), std::string::npos) << text;
-  EXPECT_NE(text.find("3000.0"), std::string::npos) << text;
-}
-
-TEST(Stats, ScopedTimerRecordsIntoGlobal) {
-  const std::string name = "test.scoped_timer_probe";
-  i64 before_ns = Stats::global().time_ns(name);
-  { ScopedTimer t(name); }
-  { ScopedTimer t(name); }
-  EXPECT_GE(Stats::global().time_ns(name), before_ns);
-  // Two invocations recorded (count lives inside the timer entry; the
-  // JSON dump is the public view of it).
-  std::string j = Stats::global().to_json();
-  EXPECT_NE(j.find("\"" + name + "\""), std::string::npos);
 }
 
 }  // namespace

@@ -45,10 +45,11 @@
 //        --raw        skip the simplification pass
 //        --exact      use the exact ILP legality pipeline
 //        --pad-zero   zero padding instead of diagonal (ablation)
-//        --stats      dump pipeline counters and timers to stderr
-//        --stats-json print the Stats snapshot (counters, timers,
+//        --stats      dump pipeline counters and histograms to stderr
+//        --stats-json print the Stats snapshot (counters and
 //                     histograms — including per-worker sums) as JSON
-//                     on stdout, matching the --diag-json convention
+//                     on stdout, matching the --diag-json convention;
+//                     per-stage times come from --trace-summary
 //        --diag-json  print structured diagnostics as JSON on stdout
 //        --profile    enable the runtime execution profiler
 //                     (support/profile.hpp) for every partitioned run
@@ -102,6 +103,7 @@
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
 #include "exec/trace.hpp"
 #include "exec/verify.hpp"
@@ -147,6 +149,8 @@ flags: --verify N | --engine {vm,ast,native} | --raw | --exact | --pad-zero
        --stats | --stats-json | --diag-json | --threads N | --exec-threads N
        --search | --trace-out F | --trace-summary | --progress
        --profile | --vm-profile
+  (--stats/--stats-json: counters and histograms; per-stage wall times
+   come from the span tracer: --trace-summary or --trace-out F)
 search/rank flags: --skew-bound B | --skew-depth D | --full | --cost | --top K
   (--full --verify N also semantically verifies every legal candidate)
 tile flags: --tile-sizes B1,B2,.. | --tile-auto | --tile-band K
@@ -461,7 +465,7 @@ int emit_and_verify(const Program& source, const Program& result,
   if (opts.verify_n > 0) {
     VerifyResult v =
         verify_equivalence(source, result, {{"N", opts.verify_n}},
-                           FillKind::kSpd, 1, 1e-9, opts.engine, plan);
+                           FillKind::kSpd, 1, opts.engine, plan);
     TraceCheckResult t =
         check_dependence_order(source, result, {{"N", opts.verify_n}});
     std::cerr << "verify(N=" << opts.verify_n << "): " << v.to_string()
@@ -720,6 +724,14 @@ int main(int argc, char** argv) {
         std::map<std::string, i64> params{{"N", opts.n}};
         InterpOptions eng;
         eng.engine = opts.engine;
+        // The compile/run split is read off the native.compile and
+        // native.run spans of the repeat loop, so the tracer is on
+        // for it (and stays on when --trace-out/--trace-summary
+        // already enabled it).
+        Tracer& tracer = Tracer::global();
+        const bool was_tracing = Tracer::enabled();
+        if (!was_tracing) tracer.enable();
+        const i64 loop_start = tracer.since_enable(now_ns());
         StatsSnapshot s0 = Stats::global().snapshot();
         i64 wall = 0;
         InterpStats last{};
@@ -727,17 +739,20 @@ int main(int argc, char** argv) {
           Memory emem;
           declare_arrays(prog, params, emem);
           fill_spd(emem, 1);
-          i64 t0 = profile_now_ns();
+          i64 t0 = now_ns();
           last = interpret(prog, params, emem, eng);
-          wall += profile_now_ns() - t0;
+          wall += now_ns() - t0;
         }
         StatsSnapshot d = Stats::global().snapshot() - s0;
-        auto timer_ns = [&](const char* key) {
-          auto it = d.timers.find(key);
-          return it == d.timers.end() ? i64{0} : it->second.ns;
-        };
-        const i64 compile_ns = timer_ns("exec.native.compile_ns");
-        const i64 run_ns = timer_ns("exec.native.run_ns");
+        if (!was_tracing) tracer.disable();
+        i64 compile_ns = 0;
+        i64 run_ns = 0;
+        for (const TraceEvent& e : tracer.events()) {
+          if (e.ph != 'X' || e.start_ns < loop_start) continue;
+          const std::string_view name = e.name;
+          if (name == "native.compile") compile_ns += e.dur_ns;
+          if (name == "native.run") run_ns += e.dur_ns;
+        }
         const char* ename = opts.engine == ExecEngine::kVm ? "vm"
                             : opts.engine == ExecEngine::kAstWalker
                                 ? "ast"
@@ -795,9 +810,9 @@ int main(int argc, char** argv) {
       Memory smem;
       declare_arrays(prog, params, smem);
       fill_spd(smem, 1);
-      i64 t0 = profile_now_ns();
+      i64 t0 = now_ns();
       interpret(prog, params, smem, {});
-      i64 serial_wall = profile_now_ns() - t0;
+      i64 serial_wall = now_ns() - t0;
 
       ExecProfiler::global().clear();
       InterpOptions par;
@@ -808,9 +823,9 @@ int main(int argc, char** argv) {
         Memory pmem;
         declare_arrays(prog, params, pmem);
         fill_spd(pmem, 1);
-        i64 p0 = profile_now_ns();
+        i64 p0 = now_ns();
         interpret(prog, params, pmem, par);
-        par_wall += profile_now_ns() - p0;
+        par_wall += now_ns() - p0;
       }
 
       ProfileReport rep = ExecProfiler::global().merged();
