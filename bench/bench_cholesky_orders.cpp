@@ -2,40 +2,20 @@
 // loops compute the same result, but their performance, even on
 // sequential machines, can be quite different."
 //
-// One series per loop ordering, swept over matrix size. EXPERIMENTS.md
-// records the measured shape (right-looking/left-looking column forms
-// vs row-oriented forms).
-#include <benchmark/benchmark.h>
+// One series per loop order of the update statement's (K, J, L) space
+// of gallery::cholesky(), each the code the framework generates by
+// completing that order (§6), swept over matrix size on the native
+// engine. In the classical (k, row i, column j) names the paper's KJL
+// is kij, KLJ kji, LKJ jki and LJK jik. The two J-outer orders (ikj,
+// ijk) are not expressible under the diagonal embedding (EXPERIMENTS.md
+// C1); the bench lists them as inexpressible.
+#include "generated_bench.hpp"
+#include "ir/gallery.hpp"
 
-#include "kernels/cholesky.hpp"
-
-namespace {
-
-using namespace inlt::kernels;
-
-void BM_Cholesky(benchmark::State& state) {
-  auto variant = cholesky_variants()[static_cast<size_t>(state.range(0))];
-  std::size_t n = static_cast<std::size_t>(state.range(1));
-  Matrix input = make_spd(n, 42);
-  for (auto _ : state) {
-    Matrix a = input;
-    variant.fn(a, n);
-    benchmark::DoNotOptimize(a.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetLabel(variant.name);
-  // Cholesky is n^3/3 flops (multiply-add counted as 2).
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n) * n * n / 3);
+int main(int argc, char** argv) {
+  using namespace inlt;
+  bench::add_orders("BM_Cholesky", gallery::cholesky(),
+                    {"KJL", "KLJ", "LKJ", "LJK", "JKL", "JLK"},
+                    {64, 128, 256, 512});
+  return bench::run_main(argc, argv);
 }
-
-void Chol_Args(benchmark::internal::Benchmark* b) {
-  for (int v = 0; v < 6; ++v)
-    for (int n : {64, 128, 256, 512}) b->Args({v, n});
-}
-
-BENCHMARK(BM_Cholesky)->Apply(Chol_Args)->Unit(benchmark::kMicrosecond);
-
-}  // namespace
-
-BENCHMARK_MAIN();

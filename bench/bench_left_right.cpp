@@ -1,46 +1,15 @@
 // C3 — §6's result: the completion procedure turns right-looking
-// Cholesky (kij source, Fig 8 left) into left-looking Cholesky (jki,
-// Fig 8 right). This bench compares exactly those two forms, plus the
-// kji right-looking column variant, at sizes where the locality
-// difference shows.
-#include <benchmark/benchmark.h>
+// Cholesky (the kij source, Fig 8 left) into left-looking Cholesky
+// (jki, Fig 8 right). This bench times exactly those two generated
+// forms, plus the kji right-looking column form, at sizes where the
+// locality difference shows, on the native engine.
+#include "generated_bench.hpp"
+#include "ir/gallery.hpp"
 
-#include "kernels/cholesky.hpp"
-
-namespace {
-
-using namespace inlt::kernels;
-
-template <CholeskyFn kFn>
-void BM_Form(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  Matrix input = make_spd(n, 11);
-  for (auto _ : state) {
-    Matrix a = input;
-    kFn(a, n);
-    benchmark::DoNotOptimize(a.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n) * n * n / 3);
+int main(int argc, char** argv) {
+  using namespace inlt;
+  // right-looking kij, right-looking kji, left-looking jki
+  bench::add_orders("BM_Cholesky", gallery::cholesky(),
+                    {"KJL", "KLJ", "LKJ"}, {128, 256, 512, 1024});
+  return bench::run_main(argc, argv);
 }
-
-BENCHMARK(BM_Form<cholesky_kij>)
-    ->Name("right_looking_kij")
-    ->RangeMultiplier(2)
-    ->Range(128, 1024)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Form<cholesky_kji>)
-    ->Name("right_looking_kji")
-    ->RangeMultiplier(2)
-    ->Range(128, 1024)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Form<cholesky_jki>)
-    ->Name("left_looking_jki")
-    ->RangeMultiplier(2)
-    ->Range(128, 1024)
-    ->Unit(benchmark::kMicrosecond);
-
-}  // namespace
-
-BENCHMARK_MAIN();

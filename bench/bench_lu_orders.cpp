@@ -1,36 +1,16 @@
 // Companion to C2 for the second classical factorization: LU loop
-// orderings ("matrix factorization codes" generally are §1's
-// motivating imperfect nests).
-#include <benchmark/benchmark.h>
+// orders ("matrix factorization codes" generally are §1's motivating
+// imperfect nests). One series per order of the update statement's
+// (K, J, L) space of gallery::lu(), generated by completion (§6) and
+// run on the native engine. As for Cholesky, KJL is kij, KLJ kji, LKJ
+// jki and LJK jik; the J-outer orders are listed as inexpressible.
+#include "generated_bench.hpp"
+#include "ir/gallery.hpp"
 
-#include "kernels/lu.hpp"
-
-namespace {
-
-using namespace inlt::kernels;
-
-void BM_Lu(benchmark::State& state) {
-  auto variant = lu_variants()[static_cast<size_t>(state.range(0))];
-  std::size_t n = static_cast<std::size_t>(state.range(1));
-  Matrix input = make_dd(n, 5);
-  for (auto _ : state) {
-    Matrix a = input;
-    variant.fn(a, n);
-    benchmark::DoNotOptimize(a.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetLabel(variant.name);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n) * n * n * 2 / 3);
+int main(int argc, char** argv) {
+  using namespace inlt;
+  bench::add_orders("BM_Lu", gallery::lu(),
+                    {"KJL", "KLJ", "LKJ", "LJK", "JKL", "JLK"},
+                    {64, 128, 256, 512});
+  return bench::run_main(argc, argv);
 }
-
-void Lu_Args(benchmark::internal::Benchmark* b) {
-  for (int v = 0; v < 4; ++v)
-    for (int n : {64, 128, 256, 512}) b->Args({v, n});
-}
-
-BENCHMARK(BM_Lu)->Apply(Lu_Args)->Unit(benchmark::kMicrosecond);
-
-}  // namespace
-
-BENCHMARK_MAIN();

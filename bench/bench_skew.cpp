@@ -1,48 +1,17 @@
-// C4 — §5.5: the source B/A imperfect nest vs the generated
-// skew-transformed code (simplified form). The transformation
-// separates the B recurrence from the triangular A fill; the benchmark
-// measures the effect of that separation.
-#include <benchmark/benchmark.h>
+// C4 — §5.5: the B/A imperfect nest as written vs the framework's
+// skewed, simplified code for it. The transformation separates the B
+// recurrence from the triangular A fill; the bench measures what that
+// separation buys on the native engine.
+#include "generated_bench.hpp"
+#include "ir/gallery.hpp"
 
-#include "kernels/skew.hpp"
-
-namespace {
-
-using namespace inlt::kernels;
-
-void BM_SkewSource(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::size_t stride = n + 2;
-  std::vector<double> a0(stride * stride, 0.25), b0(n + 1, 0.5);
-  for (auto _ : state) {
-    std::vector<double> a = a0, b = b0;
-    skew_source(a, b, n);
-    benchmark::DoNotOptimize(a.data());
-    benchmark::DoNotOptimize(b.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n) * n / 2);
+int main(int argc, char** argv) {
+  using namespace inlt;
+  const Program source = gallery::augmentation_example();
+  auto src = std::make_shared<bench::Source>(source);
+  const std::vector<i64> sizes = {256, 512, 1024, 2048, 4096};
+  bench::add_series("BM_Skew", src, "source", source, sizes);
+  bench::add_series("BM_Skew", src, "skew_I_J_-1",
+                    bench::skewed(source, "I", "J", -1), sizes);
+  return bench::run_main(argc, argv);
 }
-
-void BM_SkewTransformed(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::size_t stride = n + 2;
-  std::vector<double> a0(stride * stride, 0.25), b0(n + 1, 0.5);
-  for (auto _ : state) {
-    std::vector<double> a = a0, b = b0;
-    skew_transformed(a, b, n);
-    benchmark::DoNotOptimize(a.data());
-    benchmark::DoNotOptimize(b.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n) * n / 2);
-}
-
-BENCHMARK(BM_SkewSource)->RangeMultiplier(2)->Range(256, 4096)->Unit(
-    benchmark::kMicrosecond);
-BENCHMARK(BM_SkewTransformed)->RangeMultiplier(2)->Range(256, 4096)->Unit(
-    benchmark::kMicrosecond);
-
-}  // namespace
-
-BENCHMARK_MAIN();

@@ -1,45 +1,26 @@
-// C8 — the locality price of the wavefront order: sequential
-// Gauss-Seidel in original vs skewed traversal (the transformation
-// examples/wavefront_parallel.cpp derives). The wavefront makes the
-// inner loop a doall at the cost of diagonal memory strides; this
-// measures that cost on one core.
-#include <benchmark/benchmark.h>
+// C8 — the locality price of the wavefront order: the Gauss-Seidel
+// stencil as written vs the framework's skewed wavefront for it (the
+// transformation examples/wavefront_parallel.cpp derives), on one
+// core through the native engine. The wavefront makes the inner loop a
+// doall at the cost of diagonal memory strides; this measures that
+// cost.
+#include "generated_bench.hpp"
+#include "ir/parser.hpp"
 
-#include "kernels/stencil.hpp"
-
-namespace {
-
-using namespace inlt::kernels;
-
-void BM_GaussSeidelOriginal(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> init((n + 1) * (n + 1), 1.0);
-  for (auto _ : state) {
-    std::vector<double> u = init;
-    gauss_seidel(u, n);
-    benchmark::DoNotOptimize(u.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n) * n);
+int main(int argc, char** argv) {
+  using namespace inlt;
+  const Program source = parse_program(R"(
+param N
+do I = 1, N
+  do J = 1, N
+    S1: U(I, J) = U(I - 1, J) + U(I, J - 1)
+  end
+end
+)");
+  auto src = std::make_shared<bench::Source>(source);
+  const std::vector<i64> sizes = {256, 512, 1024, 2048};
+  bench::add_series("BM_GaussSeidel", src, "source", source, sizes);
+  bench::add_series("BM_GaussSeidel", src, "skew_I_J_1",
+                    bench::skewed(source, "I", "J", 1), sizes);
+  return bench::run_main(argc, argv);
 }
-
-void BM_GaussSeidelWavefront(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> init((n + 1) * (n + 1), 1.0);
-  for (auto _ : state) {
-    std::vector<double> u = init;
-    gauss_seidel_wavefront(u, n);
-    benchmark::DoNotOptimize(u.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n) * n);
-}
-
-BENCHMARK(BM_GaussSeidelOriginal)->RangeMultiplier(2)->Range(256, 2048)->Unit(
-    benchmark::kMicrosecond);
-BENCHMARK(BM_GaussSeidelWavefront)->RangeMultiplier(2)->Range(256, 2048)->Unit(
-    benchmark::kMicrosecond);
-
-}  // namespace
-
-BENCHMARK_MAIN();

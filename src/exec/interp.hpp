@@ -110,15 +110,6 @@ struct InterpOptions {
   /// only: an observer or cache probe forces the serial path.
   int num_threads = 1;
   std::vector<std::string> partition;
-  /// Opt-in per-opcode VM profiling: bucket the nanoseconds spent in
-  /// each bytecode op (guards, loop enter/advance, statements) and in
-  /// statements by loop depth into the Stats log₂ histograms
-  /// (`vm.op.*_ns`, `vm.stmt.depth*_ns`). VM engine, serial path only
-  /// (the partitioned driver has its own per-worker profiler —
-  /// support/profile.hpp). Execution results are unchanged; the
-  /// instrumented dispatch loop is compiled separately so the default
-  /// path pays nothing.
-  bool profile = false;
 };
 
 struct InterpStats {

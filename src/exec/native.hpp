@@ -19,9 +19,8 @@
 // half-written object — at worst both compile and the second rename
 // wins. A cache entry that fails to dlopen/dlsym (truncated, foreign
 // ABI) is deleted and recompiled, never trusted. Open handles live in
-// an in-process LRU (INLTC_NATIVE_LRU entries, default 64) of
-// refcounted handles; eviction dlcloses once the last running kernel
-// is done.
+// an in-process LRU of 64 refcounted handles; eviction dlcloses once
+// the last running kernel is done.
 //
 // Failure split: anything that prevents *preparing* a kernel (no
 // compiler, compile error, dlopen unsupported) makes native_prepare

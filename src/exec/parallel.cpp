@@ -128,24 +128,16 @@ InterpStats run_partitioned(const Program& p,
   const bool profiled = ExecProfiler::enabled();
   const bool traced = Tracer::enabled();
   std::vector<WorkerProfile> wp;
-  HistogramCell* chunk_hist = nullptr;
-  HistogramCell* wait_hist = nullptr;
   std::atomic<int> active_workers{0};
   std::atomic<i64> chunks_done{0};
   if (profiled) {
     wp.resize(static_cast<size_t>(n));
     for (int w = 0; w < n; ++w) wp[static_cast<size_t>(w)].worker = w;
-    chunk_hist = &Stats::global().histogram("exec.par.chunk_ns");
-    wait_hist = &Stats::global().histogram("exec.par.barrier_wait_ns");
   }
   if (profiled || traced) {
     for (int w = 0; w < n; ++w) {
       VmProgram::WorkerInstr wi;
-      if (profiled) {
-        wi.prof = &wp[static_cast<size_t>(w)];
-        wi.chunk_ns = chunk_hist;
-        wi.wait_ns = wait_hist;
-      }
+      if (profiled) wi.prof = &wp[static_cast<size_t>(w)];
       wi.active_workers = &active_workers;
       wi.chunks_done = &chunks_done;
       VmProgram& vm = w == 0 ? proto : clones[static_cast<size_t>(w) - 1];
@@ -213,10 +205,6 @@ InterpStats run_partitioned(const Program& p,
         if (w == 0) lp.activations = by_level[m].activations;
       }
       p.levels = std::move(by_level);
-      Stats::global().add(
-          "exec.par.worker" + std::to_string(w) + ".busy_ns", p.busy_ns);
-      Stats::global().add(
-          "exec.par.worker" + std::to_string(w) + ".chunks", p.chunks);
       rep.per_worker.push_back(std::move(p));
     }
     ExecProfiler::global().add_report(std::move(rep));

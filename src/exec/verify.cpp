@@ -50,7 +50,6 @@ VerifyResult verify_equivalence(const Program& source,
   InterpOptions opts;
   opts.engine = engine;
   opts.num_threads = plan.threads;
-  opts.profile = plan.vm_profile;
   VerifyResult r;
   opts.partition = plan.source_partition;
   r.src_instances = interpret(source, params, mem, opts).instances;
@@ -77,7 +76,6 @@ VerifyReference::VerifyReference(const Program& source,
   InterpOptions opts;
   opts.engine = engine_;
   opts.num_threads = plan_.threads;
-  opts.profile = plan_.vm_profile;
   opts.partition = plan_.source_partition;
   src_instances_ = interpret(source, params_, final_, opts).instances;
 }
@@ -101,7 +99,6 @@ VerifyResult VerifyReference::check(
     InterpOptions opts;
     opts.engine = engine_;
     opts.num_threads = plan_.threads;
-    opts.profile = plan_.vm_profile;
     opts.partition = partition;
     r.dst_instances = interpret(transformed, params_, mem, opts).instances;
     r.max_diff = mem.max_abs_diff(final_);

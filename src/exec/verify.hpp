@@ -26,10 +26,6 @@ struct ExecPlan {
   int threads = 1;
   std::vector<std::string> source_partition;
   std::vector<std::string> target_partition;
-  /// Forwarded to InterpOptions::profile: per-opcode VM profiling of
-  /// the serial executions (the partitioned driver profiles per worker
-  /// instead — support/profile.hpp). Results unchanged.
-  bool vm_profile = false;
 };
 
 struct VerifyResult {

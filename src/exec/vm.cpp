@@ -10,7 +10,6 @@
 // for bit.
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
 
 #include "exec/parallel.hpp"
@@ -201,54 +200,21 @@ void VmProgram::probe_lines(const StmtInfo& s) {
   }
 }
 
-namespace {
-
-// Cached per-opcode / per-depth histogram cells for the profiled
-// dispatch loop (run_impl<true>). HistogramCell references from the
-// global registry are stable forever, so one lookup per name suffices.
-struct OpHists {
-  HistogramCell* guards;
-  HistogramCell* loop_enter;
-  HistogramCell* loop_next;
-  HistogramCell* stmt;
-  std::vector<HistogramCell*> depth;
-
-  OpHists()
-      : guards(&Stats::global().histogram("vm.op.guards_ns")),
-        loop_enter(&Stats::global().histogram("vm.op.loop_enter_ns")),
-        loop_next(&Stats::global().histogram("vm.op.loop_next_ns")),
-        stmt(&Stats::global().histogram("vm.op.stmt_ns")) {}
-
-  HistogramCell* depth_cell(int d) {
-    if (static_cast<size_t>(d) >= depth.size())
-      depth.resize(static_cast<size_t>(d) + 1, nullptr);
-    if (!depth[d])
-      depth[d] = &Stats::global().histogram("vm.stmt.depth" +
-                                            std::to_string(d) + "_ns");
-    return depth[d];
+InterpStats VmProgram::run(const InterpOptions& opts) {
+  ScopedSpan span("vm.run", "exec");
+  probe_ = opts.cache_probe;
+  if (probe_) {
+    INLT_CHECK_MSG(probe_->line_elems > 0 &&
+                       (probe_->line_elems & (probe_->line_elems - 1)) == 0,
+                   "CacheProbe::line_elems must be a power of two");
+    probe_shift_ = 0;
+    while ((i64{1} << probe_shift_) < probe_->line_elems) ++probe_shift_;
   }
-};
-
-}  // namespace
-
-template <bool kProfile>
-InterpStats VmProgram::run_impl(const InterpOptions& opts) {
   InterpStats st;
   const i64 max_instances = opts.max_instances;
-  // Per-run cell cache: name lookups happen once per profiled run, and
-  // keeping it run-local (not static) makes concurrent profiled runs
-  // race-free — the cells themselves are atomic.
-  std::optional<OpHists> cells;
-  if constexpr (kProfile) cells.emplace();
-  OpHists* hist = cells ? &*cells : nullptr;
-  int depth = 0;  // loop nesting depth of the current pc (profiled only)
-  (void)hist;     // unused in the !kProfile instantiation
-  (void)depth;
   size_t pc = 0;
   for (;;) {
     const CInst& in = code_[pc];
-    i64 t0 = 0;
-    if constexpr (kProfile) t0 = now_ns();
     switch (in.op) {
       case COp::kGuards:
         if (guards_hold(guard_sets_[in.arg])) {
@@ -270,7 +236,6 @@ InterpStats VmProgram::run_impl(const InterpOptions& opts) {
         hi_[in.arg] = hi;
         enter_loop(L, lo, hi);
         ++st.loop_iterations;
-        if constexpr (kProfile) ++depth;
         ++pc;
         break;
       }
@@ -278,7 +243,6 @@ InterpStats VmProgram::run_impl(const InterpOptions& opts) {
         const LoopInfo& L = loops_[in.arg];
         i64 v = checked_add(env_[L.slot], L.step);
         if (v > hi_[in.arg]) {
-          if constexpr (kProfile) --depth;
           ++pc;  // loop done; falls out past the back-edge
           break;
         }
@@ -294,46 +258,11 @@ InterpStats VmProgram::run_impl(const InterpOptions& opts) {
         ++pc;
         break;
       case COp::kHalt:
+        Stats::global().add("exec.vm.runs");
+        Stats::global().add("exec.vm.instances", st.instances);
         return st;
     }
-    if constexpr (kProfile) {
-      i64 dt = now_ns() - t0;
-      switch (in.op) {
-        case COp::kGuards:
-          hist->guards->record(dt);
-          break;
-        case COp::kLoopEnter:
-          hist->loop_enter->record(dt);
-          break;
-        case COp::kLoopNext:
-          hist->loop_next->record(dt);
-          break;
-        case COp::kStmt:
-          hist->stmt->record(dt);
-          hist->depth_cell(depth)->record(dt);
-          break;
-        case COp::kHalt:
-          break;  // unreachable: kHalt returned above
-      }
-    }
   }
-}
-
-InterpStats VmProgram::run(const InterpOptions& opts) {
-  ScopedSpan span("vm.run", "exec");
-  probe_ = opts.cache_probe;
-  if (probe_) {
-    INLT_CHECK_MSG(probe_->line_elems > 0 &&
-                       (probe_->line_elems & (probe_->line_elems - 1)) == 0,
-                   "CacheProbe::line_elems must be a power of two");
-    probe_shift_ = 0;
-    while ((i64{1} << probe_shift_) < probe_->line_elems) ++probe_shift_;
-  }
-  InterpStats st =
-      opts.profile ? run_impl<true>(opts) : run_impl<false>(opts);
-  Stats::global().add("exec.vm.runs");
-  Stats::global().add("exec.vm.instances", st.instances);
-  return st;
 }
 
 int VmProgram::mark_partition(const std::vector<std::string>& vars) {
@@ -413,11 +342,7 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
           // reading.
           i64 t0 = prof ? now_ns() : 0;
           barrier.arrive_and_wait();
-          if (prof) {
-            i64 waited = now_ns() - t0;
-            prof->barrier_wait_ns += waited;
-            if (instr_.wait_ns) instr_.wait_ns->record(waited);
-          }
+          if (prof) prof->barrier_wait_ns += now_ns() - t0;
           i64 lo = eval_lower(L.lower);
           i64 hi = eval_upper(L.upper);
           if (lo > hi) {
@@ -441,11 +366,7 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
             i64 t1 = prof ? now_ns() : 0;
             if (prof) ++prof->empty_chunks;
             barrier.arrive_and_wait();
-            if (prof) {
-              i64 waited = now_ns() - t1;
-              prof->barrier_wait_ns += waited;
-              if (instr_.wait_ns) instr_.wait_ns->record(waited);
-            }
+            if (prof) prof->barrier_wait_ns += now_ns() - t1;
             pc = static_cast<size_t>(in.jump);
             break;
           }
@@ -507,7 +428,6 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
               LevelTally& lt = prof->levels[in.arg];
               ++lt.chunks;
               lt.busy_ns += dur;
-              if (instr_.chunk_ns) instr_.chunk_ns->record(dur);
             }
             if (chunk_traced_) {
               Tracer& tr = Tracer::global();
@@ -534,11 +454,7 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
               }
             }
             barrier.arrive_and_wait();
-            if (prof) {
-              i64 waited = now_ns() - t1;
-              prof->barrier_wait_ns += waited;
-              if (instr_.wait_ns) instr_.wait_ns->record(waited);
-            }
+            if (prof) prof->barrier_wait_ns += now_ns() - t1;
           }
           ++pc;  // loop done; falls out past the back-edge
           break;

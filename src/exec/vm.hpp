@@ -54,7 +54,6 @@
 namespace inlt {
 
 class ExecBarrier;    // exec/parallel.hpp
-class HistogramCell;  // support/stats.hpp
 struct WorkerProfile;  // support/profile.hpp
 
 class VmProgram {
@@ -115,8 +114,6 @@ class VmProgram {
   /// plain pointer test and one relaxed atomic load — no clock reads.
   struct WorkerInstr {
     WorkerProfile* prof = nullptr;    ///< this worker's profile sink
-    HistogramCell* chunk_ns = nullptr;  ///< exec.par.chunk_ns
-    HistogramCell* wait_ns = nullptr;   ///< exec.par.barrier_wait_ns
     /// Shared live counters for Chrome-trace counter tracks; workers
     /// emit a 'C' sample on every transition when tracing is enabled.
     std::atomic<int>* active_workers = nullptr;
@@ -267,13 +264,6 @@ class VmProgram {
   };
 
   VmProgram() = default;
-
-  /// The dispatch loop of run(), compiled twice: kProfile adds clock
-  /// reads around every instruction and buckets them into the Stats
-  /// per-opcode / per-depth histograms; the !kProfile instantiation is
-  /// the unchanged hot path.
-  template <bool kProfile>
-  InterpStats run_impl(const InterpOptions& opts);
 
   i64 eval(const LinExpr& e) const;  // checked
   i64 eval_lower(const CBound& b) const;

@@ -4,8 +4,7 @@
 // per chunk), reports must be structurally deterministic across runs
 // and thread counts, barrier aborts must still propagate cleanly while
 // profiling, spans/counters recorded on the persistent WorkerPool
-// threads must reach the Tracer export, and the serial VM's per-opcode
-// profiling (InterpOptions::profile) must count what actually ran.
+// threads must reach the Tracer export.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -333,44 +332,6 @@ TEST_F(ProfileExec, PoolWorkerTraceEventsReachTheExport) {
   EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
   EXPECT_NE(json.find("exec worker"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-}
-
-TEST_F(ProfileExec, VmOpcodeProfilingCountsWhatRan) {
-  // Serial VM with InterpOptions::profile: identical results, and the
-  // vm.op.* histograms gain exactly one stmt sample per executed
-  // statement instance (at the statement's loop depth).
-  Kernel k = skewed_wavefront();
-  std::map<std::string, i64> params{{"N", 11}};
-  Memory proto;
-  declare_arrays(k.program, params, proto);
-  fill_spd(proto, 4);
-
-  Memory plain_mem = proto;
-  InterpStats plain = interpret(k.program, params, plain_mem, {});
-
-  StatsSnapshot before = Stats::global().snapshot();
-  Memory prof_mem = proto;
-  InterpOptions opts;
-  opts.profile = true;
-  InterpStats prof = interpret(k.program, params, prof_mem, opts);
-  StatsSnapshot delta = Stats::global().snapshot() - before;
-
-  EXPECT_EQ(prof.instances, plain.instances);
-  EXPECT_EQ(prof.loop_iterations, plain.loop_iterations);
-  expect_bit_identical(prof_mem, plain_mem, "vm profile on vs off");
-
-  EXPECT_EQ(delta.histograms.at("vm.op.stmt_ns").count, prof.instances);
-  // The skewed stencil's statement sits under two loops.
-  EXPECT_EQ(delta.histograms.at("vm.stmt.depth2_ns").count, prof.instances);
-  EXPECT_GT(delta.histograms.at("vm.op.loop_enter_ns").count, 0);
-  EXPECT_GT(delta.histograms.at("vm.op.loop_next_ns").count, 0);
-
-  // And without the flag, another run adds no opcode samples at all.
-  StatsSnapshot before2 = Stats::global().snapshot();
-  Memory again = proto;
-  interpret(k.program, params, again, {});
-  StatsSnapshot d2 = Stats::global().snapshot() - before2;
-  EXPECT_EQ(d2.histograms.at("vm.op.stmt_ns").count, 0);
 }
 
 }  // namespace

@@ -55,8 +55,6 @@
 //                     (support/profile.hpp) for every partitioned run
 //                     of the command; the merged report prints to
 //                     stderr at exit
-//        --vm-profile per-opcode VM profiling for serial --verify runs
-//                     (vm.op.* / vm.stmt.depth* histograms; see --stats)
 //        profile: --n N (problem size, default 64) | --repeat R
 //                 --profile-json (report as JSON on stdout)
 //        --threads N  search/evaluate worker threads (positive; default
@@ -148,7 +146,7 @@ ops: interchange A B | skew T S k | reverse V | scale V k
 flags: --verify N | --engine {vm,ast,native} | --raw | --exact | --pad-zero
        --stats | --stats-json | --diag-json | --threads N | --exec-threads N
        --search | --trace-out F | --trace-summary | --progress
-       --profile | --vm-profile
+       --profile
   (--stats/--stats-json: counters and histograms; per-stage wall times
    come from the span tracer: --trace-summary or --trace-out F)
 search/rank flags: --skew-bound B | --skew-depth D | --full | --cost | --top K
@@ -209,7 +207,6 @@ struct Options {
   bool progress = false;  // search: periodic progress on stderr
   bool stats_json = false;   // Stats snapshot as JSON on stdout
   bool profile = false;      // runtime profiler on partitioned runs
-  bool vm_profile = false;   // per-opcode VM profiling (serial runs)
   bool engine_set = false;   // --engine given (profile: serial engine mode)
   bool profile_json = false;  // profile command: JSON report on stdout
   i64 n = 64;                // profile command: problem size (binds N)
@@ -341,8 +338,6 @@ Options parse_flags(int argc, char** argv, int first) {
       o.stats_json = true;
     } else if (a == "--profile") {
       o.profile = true;
-    } else if (a == "--vm-profile") {
-      o.vm_profile = true;
     } else if (a == "--profile-json") {
       o.profile_json = true;
     } else if (a == "--n") {
@@ -484,7 +479,6 @@ ExecPlan exec_plan(TransformSession& session, const IntMat& m,
                    const Options& opts) {
   ExecPlan plan;
   plan.threads = opts.exec_threads;
-  plan.vm_profile = opts.vm_profile;
   if (opts.exec_threads <= 1) return plan;
   const IvLayout& layout = session.layout();
   const DependenceSet& deps = session.dependences();
