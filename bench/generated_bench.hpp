@@ -150,8 +150,6 @@ class Series {
     const NativeKernel* kernel = prepared_.get();
     if (!src || !kernel) {
       const Diagnostic& why = src ? prepared_.why : source_->prepared().why;
-      // The diagnostic names the VM fallback interpret() would take;
-      // a bench timing native code does not take it.
       state.SkipWithError(("not timed: " + why.render()).c_str());
       return;
     }

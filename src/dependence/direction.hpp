@@ -26,10 +26,8 @@ class DepEntry {
 
   static DepEntry exact(i64 v) { return DepEntry(v, v, false, false); }
   static DepEntry plus() { return DepEntry(1, 0, false, true); }     // [1, ∞)
-  static DepEntry minus() { return DepEntry(0, -1, true, false); }   // (-∞, -1]
   static DepEntry star() { return DepEntry(0, 0, true, true); }      // (-∞, ∞)
   static DepEntry non_neg() { return DepEntry(0, 0, false, true); }  // [0, ∞)
-  static DepEntry non_pos() { return DepEntry(0, 0, true, false); }  // (-∞, 0]
   static DepEntry at_least(i64 lo) { return DepEntry(lo, 0, false, true); }
   static DepEntry at_most(i64 hi) { return DepEntry(0, hi, true, false); }
   static DepEntry range(i64 lo, i64 hi);

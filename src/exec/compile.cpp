@@ -26,10 +26,10 @@ class VmCompiler {
     for (const NodePtr& root : p_.roots()) compile_node(*root);
     vm_.code_.push_back({VmProgram::COp::kHalt, 0, 0});
     finalize_loop_actions();
-    vm_.num_slots_ = next_slot_;
     vm_.env_.assign(static_cast<size_t>(std::max(next_slot_, 1)), 0);
     vm_.hi_.assign(std::max<size_t>(vm_.loops_.size(), 1), 0);
-    vm_.last_.assign(std::max<size_t>(vm_.loops_.size(), 1), 0);
+    vm_.marked_.assign(vm_.loops_.size(), -1);
+    vm_.reach_marked_.assign(vm_.loops_.size(), 0);
     vm_.offs_.assign(std::max<size_t>(vm_.accesses_.size(), 1), 0);
     vm_.sregs_.assign(static_cast<size_t>(std::max(vm_.max_sregs_, 1)), 0.0);
   }
@@ -259,9 +259,6 @@ class VmCompiler {
           loop_checks_[owner].push_back({i, d, dcoef});
         }
       }
-      vm_.hoisted_accesses_ += st.naccesses;
-    } else {
-      vm_.checked_accesses_ += st.naccesses;
     }
     vm_.stmts_.push_back(std::move(st));
     emit_c(COp::kStmt, static_cast<int>(vm_.stmts_.size()) - 1);
@@ -376,20 +373,8 @@ VmProgram::VmProgram(const Program& p, const std::map<std::string, i64>& params,
   VmCompiler c(p, params, &mem, *this);
   c.compile();
   Stats::global().add("exec.vm.compiles");
-  Stats::global().add_sample("exec.vm.code_len",
-                             static_cast<i64>(code_.size() + scode_.size()));
-}
-
-void VmProgram::rebind(Memory& mem) {
-  for (ArrayInfo& a : arrays_) {
-    if (a.data == nullptr) continue;  // unbound at compile time stays so
-    DenseArray& arr = mem.at(a.name);
-    INLT_CHECK_MSG(arr.rank() == a.rank, "rebind: array rank mismatch");
-    for (int d = 0; d < a.rank; ++d)
-      INLT_CHECK_MSG(arr.lo(d) == a.lo[d] && arr.hi(d) == a.hi[d],
-                     "rebind: array shape mismatch for " + a.name);
-    a.data = arr.raw_data();
-  }
+  if (span.active())
+    span.arg("code_len", static_cast<i64>(code_.size() + scode_.size()));
 }
 
 std::map<std::string, VmProgram::Range> VmProgram::probe_ranges(

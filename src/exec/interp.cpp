@@ -13,6 +13,7 @@
 #include "exec/ufhash.hpp"
 #include "exec/vm.hpp"
 #include "support/check.hpp"
+#include "support/stats.hpp"
 
 namespace inlt {
 
@@ -156,9 +157,11 @@ InterpStats interpret(const Program& p, const std::map<std::string, i64>& params
   // other engine's.
   if (opts.engine == ExecEngine::kNative && !opts.observer &&
       !opts.cache_probe && !(opts.num_threads > 1 && !opts.partition.empty())) {
-    InterpStats st;
     Diagnostic why;
-    if (native_try_run(p, params, mem, opts, &st, &why)) return st;
+    if (std::shared_ptr<NativeKernel> k = native_prepare(p, &why))
+      return native_run(*k, params, mem, opts);
+    Stats::global().add("exec.native.fallbacks");
+    why.message += "; using the VM";
     warn_native_fallback_once(why);
   }
   if ((opts.engine != ExecEngine::kAstWalker || opts.cache_probe) &&

@@ -283,7 +283,7 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
   } catch (const Error& e) {
     if (why)
       *why = exec_warning(std::string("native engine: cannot lower program (") +
-                          e.what() + "); using the VM");
+                          e.what() + ")");
     Stats::global().add("exec.native.emit_unsupported");
     return nullptr;
   }
@@ -291,8 +291,7 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
   std::string avail_why;
   if (!native_available(&avail_why)) {
     if (why)
-      *why = exec_warning("native engine unavailable: " + avail_why +
-                          "; using the VM");
+      *why = exec_warning("native engine unavailable: " + avail_why);
     return nullptr;
   }
 
@@ -337,8 +336,7 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
     f << src.code;
     if (!f) {
       if (why)
-        *why = exec_warning("native engine: cannot write " + tmp_c +
-                            "; using the VM");
+        *why = exec_warning("native engine: cannot write " + tmp_c);
       fs::remove(tmp_c, ec);
       return nullptr;
     }
@@ -359,8 +357,7 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
     if (why)
       *why = exec_warning("native engine: compile failed (" + cc + "): " +
                           (detail.empty() ? "exit status " + std::to_string(rc)
-                                          : detail) +
-                          "; using the VM");
+                                          : detail));
     Stats::global().add("exec.native.compile_failures");
     fs::remove(tmp_c, ec);
     fs::remove(tmp_so, ec);
@@ -376,7 +373,7 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
   if (ec) {
     if (why)
       *why = exec_warning("native engine: cannot publish " + so_path + " (" +
-                          ec.message() + "); using the VM");
+                          ec.message() + ")");
     fs::remove(tmp_c, ec);
     fs::remove(tmp_so, ec);
     return nullptr;
@@ -388,7 +385,7 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
   if (!k) {
     if (why)
       *why = exec_warning("native engine: dlopen failed for freshly built " +
-                          so_path + " (" + open_why + "); using the VM");
+                          so_path + " (" + open_why + ")");
     return nullptr;
   }
   return lru().put(key, std::move(k));
@@ -445,18 +442,6 @@ InterpStats native_run(const NativeKernel& kernel,
   Stats::global().add("exec.native.runs");
   Stats::global().add("exec.native.instances", st.instances);
   return st;
-}
-
-bool native_try_run(const Program& p, const std::map<std::string, i64>& params,
-                    Memory& mem, const InterpOptions& opts, InterpStats* out,
-                    Diagnostic* why) {
-  std::shared_ptr<NativeKernel> k = native_prepare(p, why);
-  if (!k) {
-    Stats::global().add("exec.native.fallbacks");
-    return false;
-  }
-  *out = native_run(*k, params, mem, opts);
-  return true;
 }
 
 void native_lru_clear() { lru().clear(); }

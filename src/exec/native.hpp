@@ -24,10 +24,11 @@
 //
 // Failure split: anything that prevents *preparing* a kernel (no
 // compiler, compile error, dlopen unsupported) makes native_prepare
-// return null with a Stage::kExec diagnostic — interpret() then falls
-// back to the VM. Errors while *running* a prepared kernel (bounds,
-// instance budget, undeclared array) throw inlt::Error exactly like
-// the other engines: a wrong candidate must fail, not fall back.
+// return null with a Stage::kExec diagnostic that states the reason
+// only; interpret() then falls back to the VM and says so. Errors
+// while *running* a prepared kernel (bounds, instance budget,
+// undeclared array) throw inlt::Error exactly like the other engines:
+// a wrong candidate must fail, not fall back.
 #pragma once
 
 #include <map>
@@ -60,8 +61,9 @@ std::string native_cache_dir();
 std::string native_cache_key(const Program& p);
 
 /// Compile (or fetch from cache) the kernel for `p`. Returns null and
-/// fills `why` (severity kWarning, Stage::kExec) when the engine is
-/// unavailable or the compile fails; never throws for those cases.
+/// fills `why` (severity kWarning, Stage::kExec) with the reason when
+/// the engine is unavailable or the compile fails; what to do instead
+/// is the caller's choice. Never throws for those cases.
 std::shared_ptr<NativeKernel> native_prepare(const Program& p,
                                              Diagnostic* why = nullptr);
 
@@ -72,13 +74,6 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
 InterpStats native_run(const NativeKernel& kernel,
                        const std::map<std::string, i64>& params, Memory& mem,
                        const InterpOptions& opts);
-
-/// Convenience used by interpret(): prepare + run. Returns false (and
-/// fills `why`) when the engine could not be prepared — the caller
-/// falls back to the VM. Runtime errors propagate as Error.
-bool native_try_run(const Program& p, const std::map<std::string, i64>& params,
-                    Memory& mem, const InterpOptions& opts, InterpStats* out,
-                    Diagnostic* why);
 
 /// Drop every cached open handle (dlclosing ones not currently
 /// running). Tests use this to force the disk-cache path.

@@ -109,8 +109,10 @@ InterpStats run_partitioned(const Program& p,
   INLT_CHECK_MSG(!opts.observer && !opts.cache_probe,
                  "partitioned execution is VM-only: no observer or probe");
   VmProgram proto(p, params, mem);
-  int marked = proto.mark_partition(partition);
-  if (marked == 0 || num_threads <= 1) return proto.run(opts);
+  // A serial run is the same loop as worker 0 of 1 with nothing marked.
+  std::vector<std::string> levels;
+  if (num_threads > 1) levels = proto.mark_partition(partition);
+  if (levels.empty()) return proto.run(opts);
 
   ScopedSpan span("vm.run_parallel", "exec");
   const int n = num_threads;
@@ -132,7 +134,10 @@ InterpStats run_partitioned(const Program& p,
   std::atomic<i64> chunks_done{0};
   if (profiled) {
     wp.resize(static_cast<size_t>(n));
-    for (int w = 0; w < n; ++w) wp[static_cast<size_t>(w)].worker = w;
+    for (int w = 0; w < n; ++w) {
+      wp[static_cast<size_t>(w)].worker = w;
+      wp[static_cast<size_t>(w)].levels.resize(levels.size());
+    }
   }
   if (profiled || traced) {
     for (int w = 0; w < n; ++w) {
@@ -179,32 +184,21 @@ InterpStats run_partitioned(const Program& p,
     ProfileReport rep;
     rep.workers = n;
     rep.wall_ns = wall_ns;
-    // Named levels in nest order; per-worker level tallies (indexed by
-    // internal VM loop id while recording) fold onto them here.
-    std::vector<std::pair<int, std::string>> marks = proto.marked_loops();
-    for (const auto& [id, var] : marks) {
-      LevelProfile lp;
-      lp.var = var;
-      rep.levels.push_back(std::move(lp));
-    }
+    for (const std::string& var : levels)
+      rep.levels.push_back(LevelProfile{var, 0, 0, 0, 0});
     for (int w = 0; w < n; ++w) {
       WorkerProfile& p = wp[static_cast<size_t>(w)];
       p.instances = st[static_cast<size_t>(w)].instances;
       p.loop_iterations = st[static_cast<size_t>(w)].loop_iterations;
-      std::vector<LevelTally> by_level(marks.size());
-      for (size_t m = 0; m < marks.size(); ++m) {
-        int id = marks[m].first;
-        if (static_cast<size_t>(id) < p.levels.size())
-          by_level[m] = p.levels[static_cast<size_t>(id)];
-        LevelProfile& lp = rep.levels[m];
-        lp.chunks += by_level[m].chunks;
-        lp.busy_ns += by_level[m].busy_ns;
-        lp.max_worker_busy_ns =
-            std::max(lp.max_worker_busy_ns, by_level[m].busy_ns);
+      for (size_t l = 0; l < levels.size(); ++l) {
+        const LevelTally& t = p.levels[l];
+        LevelProfile& lp = rep.levels[l];
+        lp.chunks += t.chunks;
+        lp.busy_ns += t.busy_ns;
+        lp.max_worker_busy_ns = std::max(lp.max_worker_busy_ns, t.busy_ns);
         // Every worker sees every activation; count it once (worker 0).
-        if (w == 0) lp.activations = by_level[m].activations;
+        if (w == 0) lp.activations = t.activations;
       }
-      p.levels = std::move(by_level);
       rep.per_worker.push_back(std::move(p));
     }
     ExecProfiler::global().add_report(std::move(rep));

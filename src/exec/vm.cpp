@@ -1,7 +1,8 @@
 // VmProgram execution (see vm.hpp for the design; compile.cpp builds
 // the tables).
 //
-// run() is the hot path of semantic verification: a flat dispatch loop
+// run_worker() is the one execution loop (run() is its one-worker
+// case) and the hot path of semantic verification: a flat dispatch loop
 // over control instructions with no recursion, no name lookups and no
 // per-access subscript evaluation — fast accesses ride incrementally
 // maintained flat offsets whose bounds were checked at loop entry.
@@ -202,7 +203,48 @@ void VmProgram::probe_lines(const StmtInfo& s) {
 
 InterpStats VmProgram::run(const InterpOptions& opts) {
   ScopedSpan span("vm.run", "exec");
-  probe_ = opts.cache_probe;
+  ExecBarrier solo(1);  // one party: a marked loop's barriers pass at once
+  InterpStats st = run_worker(0, 1, solo, opts);
+  Stats::global().add("exec.vm.runs");
+  Stats::global().add("exec.vm.instances", st.instances);
+  return st;
+}
+
+std::vector<std::string> VmProgram::mark_partition(
+    const std::vector<std::string>& vars) {
+  std::fill(marked_.begin(), marked_.end(), -1);
+  std::fill(reach_marked_.begin(), reach_marked_.end(), 0);
+  // Only the outermost marked loop on any nest path splits; a mark
+  // under another mark is dropped. reach_marked_ records, per loop,
+  // whether its subtree contains a surviving mark (itself included) —
+  // the "is there any work for workers != 0 below here" test.
+  std::vector<std::string> levels;
+  std::vector<int> stack;
+  for (const CInst& in : code_) {
+    if (in.op == COp::kLoopEnter) {
+      bool under = false;
+      for (int a : stack)
+        if (marked_[a] >= 0) under = true;
+      const std::string& var = loops_[in.arg].var;
+      if (!under && std::find(vars.begin(), vars.end(), var) != vars.end()) {
+        marked_[in.arg] = static_cast<int>(levels.size());
+        levels.push_back(var);
+        reach_marked_[in.arg] = 1;
+        for (int a : stack) reach_marked_[a] = 1;
+      }
+      stack.push_back(in.arg);
+    } else if (in.op == COp::kLoopNext) {
+      stack.pop_back();
+    }
+  }
+  return levels;
+}
+
+InterpStats VmProgram::run_worker(int worker, int nworkers,
+                                  ExecBarrier& barrier,
+                                  const InterpOptions& opts) {
+  // See the header contract. The cache probe rides the serial run only.
+  probe_ = nworkers == 1 ? opts.cache_probe : nullptr;
   if (probe_) {
     INLT_CHECK_MSG(probe_->line_elems > 0 &&
                        (probe_->line_elems & (probe_->line_elems - 1)) == 0,
@@ -212,111 +254,12 @@ InterpStats VmProgram::run(const InterpOptions& opts) {
   }
   InterpStats st;
   const i64 max_instances = opts.max_instances;
-  size_t pc = 0;
-  for (;;) {
-    const CInst& in = code_[pc];
-    switch (in.op) {
-      case COp::kGuards:
-        if (guards_hold(guard_sets_[in.arg])) {
-          ++pc;
-        } else {
-          ++st.guard_failures;
-          pc = static_cast<size_t>(in.jump);
-        }
-        break;
-      case COp::kLoopEnter: {
-        const LoopInfo& L = loops_[in.arg];
-        i64 lo = eval_lower(L.lower);
-        i64 hi = eval_upper(L.upper);
-        if (lo > hi) {
-          pc = static_cast<size_t>(in.jump);
-          break;
-        }
-        env_[L.slot] = lo;
-        hi_[in.arg] = hi;
-        enter_loop(L, lo, hi);
-        ++st.loop_iterations;
-        ++pc;
-        break;
-      }
-      case COp::kLoopNext: {
-        const LoopInfo& L = loops_[in.arg];
-        i64 v = checked_add(env_[L.slot], L.step);
-        if (v > hi_[in.arg]) {
-          ++pc;  // loop done; falls out past the back-edge
-          break;
-        }
-        env_[L.slot] = v;
-        ++st.loop_iterations;
-        for (int i = L.adv_begin; i != L.adv_end; ++i)
-          offs_[advances_[i].reg] += advances_[i].delta;
-        pc = static_cast<size_t>(in.jump);
-        break;
-      }
-      case COp::kStmt:
-        exec_stmt(stmts_[in.arg], st, max_instances);
-        ++pc;
-        break;
-      case COp::kHalt:
-        Stats::global().add("exec.vm.runs");
-        Stats::global().add("exec.vm.instances", st.instances);
-        return st;
-    }
-  }
-}
-
-int VmProgram::mark_partition(const std::vector<std::string>& vars) {
-  marked_.assign(loops_.size(), 0);
-  reach_marked_.assign(loops_.size(), 0);
-  for (size_t i = 0; i < loops_.size(); ++i)
-    for (const std::string& v : vars)
-      if (loops_[i].var == v) marked_[i] = 1;
-  // Only the outermost marked loop on any nest path splits; a mark
-  // under another mark is dropped. reach_marked_ records, per loop,
-  // whether its subtree contains a surviving mark (itself included) —
-  // the "is there any work for workers != 0 below here" test.
-  std::vector<int> stack;
-  int count = 0;
-  for (const CInst& in : code_) {
-    if (in.op == COp::kLoopEnter) {
-      bool under = false;
-      for (int a : stack)
-        if (marked_[a]) under = true;
-      if (under) marked_[in.arg] = 0;
-      if (marked_[in.arg]) {
-        ++count;
-        reach_marked_[in.arg] = 1;
-        for (int a : stack) reach_marked_[a] = 1;
-      }
-      stack.push_back(in.arg);
-    } else if (in.op == COp::kLoopNext) {
-      stack.pop_back();
-    }
-  }
-  return count;
-}
-
-std::vector<std::pair<int, std::string>> VmProgram::marked_loops() const {
-  std::vector<std::pair<int, std::string>> out;
-  for (const CInst& in : code_)
-    if (in.op == COp::kLoopEnter && in.arg < static_cast<int>(marked_.size()) &&
-        marked_[in.arg])
-      out.emplace_back(in.arg, loops_[in.arg].var);
-  return out;
-}
-
-InterpStats VmProgram::run_worker(int worker, int nworkers,
-                                  ExecBarrier& barrier,
-                                  const InterpOptions& opts) {
-  // Mirror of run() with chunking on the marked loops; see the header
-  // contract. The probe and observer paths are serial-only.
-  INLT_CHECK_MSG(marked_.size() == loops_.size(),
-                 "run_worker requires mark_partition() first");
-  InterpStats st;
-  probe_ = nullptr;
-  const i64 max_instances = opts.max_instances;
   const bool main_worker = worker == 0;
   bool in_chunk = false;  // inside this worker's chunk of a marked loop
+  // The open chunk's instrumentation, decided at its entry.
+  WorkerProfile* chunk_prof = nullptr;
+  bool chunk_traced = false;
+  i64 chunk_t0 = 0;  // now_ns() at the chunk's start
   size_t pc = 0;
   for (;;) {
     const CInst& in = code_[pc];
@@ -331,7 +274,8 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
         break;
       case COp::kLoopEnter: {
         const LoopInfo& L = loops_[in.arg];
-        if (!in_chunk && marked_[in.arg]) {
+        const int level = in_chunk ? -1 : marked_[in.arg];
+        if (level >= 0) {
           // One activation of a partitioned loop. The whole per-chunk
           // cost of disabled instrumentation is these two gates: a
           // plain pointer test and one relaxed atomic load.
@@ -355,11 +299,7 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
               floor_div(checked_sub(hi, lo), L.step) + 1;  // executed iters
           i64 b = count * worker / nworkers;
           i64 e = count * (worker + 1) / nworkers;
-          if (prof) {
-            if (prof->levels.size() < loops_.size())
-              prof->levels.resize(loops_.size());
-            ++prof->levels[in.arg].activations;
-          }
+          if (prof) ++prof->levels[level].activations;
           if (b >= e) {
             // Empty chunk (more workers than iterations): arrive at
             // the exit barrier immediately and move past the loop.
@@ -377,17 +317,15 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
           enter_loop(L, clo, chi);
           ++st.loop_iterations;
           in_chunk = true;
-          chunk_profiled_ = prof != nullptr;
-          chunk_traced_ = traced;
-          if (prof || traced) chunk_t0_ = now_ns();
-          if (traced) {
-            if (instr_.active_workers) {
-              int a = instr_.active_workers->fetch_add(
-                          1, std::memory_order_relaxed) +
-                      1;
-              Tracer::global().counter("active workers", "exec.par",
-                                       "workers", a);
-            }
+          chunk_prof = prof;
+          chunk_traced = traced;
+          if (prof || traced) chunk_t0 = now_ns();
+          if (traced && instr_.active_workers) {
+            int a =
+                instr_.active_workers->fetch_add(1, std::memory_order_relaxed) +
+                1;
+            Tracer::global().counter("active workers", "exec.par", "workers",
+                                     a);
           }
           ++pc;
           break;
@@ -413,29 +351,28 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
         const LoopInfo& L = loops_[in.arg];
         i64 v = checked_add(env_[L.slot], L.step);
         if (v > hi_[in.arg]) {
-          if (in_chunk && marked_[in.arg]) {
+          if (in_chunk && marked_[in.arg] >= 0) {
             // Chunk complete. Exit barrier: code after the loop may
             // read what other workers' chunks wrote.
             in_chunk = false;
-            WorkerProfile* prof = chunk_profiled_ ? instr_.prof : nullptr;
             // One clock read closes the chunk for both the profile
             // and the trace event.
-            const i64 t1 = prof || chunk_traced_ ? now_ns() : 0;
-            if (prof) {
-              i64 dur = t1 - chunk_t0_;
-              prof->busy_ns += dur;
-              ++prof->chunks;
-              LevelTally& lt = prof->levels[in.arg];
+            const i64 t1 = chunk_prof || chunk_traced ? now_ns() : 0;
+            if (chunk_prof) {
+              i64 dur = t1 - chunk_t0;
+              chunk_prof->busy_ns += dur;
+              ++chunk_prof->chunks;
+              LevelTally& lt = chunk_prof->levels[marked_[in.arg]];
               ++lt.chunks;
               lt.busy_ns += dur;
             }
-            if (chunk_traced_) {
+            if (chunk_traced) {
               Tracer& tr = Tracer::global();
               TraceEvent ev;
               ev.name = "chunk";
               ev.cat = "exec.worker";
-              ev.start_ns = tr.since_enable(chunk_t0_);
-              ev.dur_ns = t1 - chunk_t0_;
+              ev.start_ns = tr.since_enable(chunk_t0);
+              ev.dur_ns = t1 - chunk_t0;
               ev.args.push_back(TraceArg{"loop", L.var, true});
               ev.args.push_back(
                   TraceArg{"worker", std::to_string(worker), false});
@@ -454,7 +391,7 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
               }
             }
             barrier.arrive_and_wait();
-            if (prof) prof->barrier_wait_ns += now_ns() - t1;
+            if (chunk_prof) chunk_prof->barrier_wait_ns += now_ns() - t1;
           }
           ++pc;  // loop done; falls out past the back-edge
           break;
@@ -528,7 +465,7 @@ bool VmProgram::probe_vertices(ProbeState& ps, size_t enter_pc, i64 lo,
   return true;
 }
 
-// The probe interpreter: same control flow as run() but statements
+// The probe interpreter: same control flow as run_worker() but statements
 // only record subscript extremes, and a probe_vertex loop visits only
 // its vertex iterations (probe_vertices) — array sizing drops from
 // the full iteration count to a few points per loop entry.

@@ -21,7 +21,11 @@
 //  * statement bodies become linear register bytecode; the
 //    uninterpreted-function hash (exec/ufhash.hpp) is inlined;
 //  * control flow is a flat instruction array driven by a program
-//    counter — no recursion, loop state lives in per-loop slots.
+//    counter — no recursion, loop state lives in per-loop slots;
+//  * one dispatch loop (run_worker) executes every run: a serial
+//    run() is worker 0 of 1 with no loop marked, and run_partitioned
+//    (exec/parallel.hpp) runs the same loop on every worker with the
+//    marked doall levels block-chunked.
 //
 // Results are bit-identical to the AST walker (the differential suite
 // in tests/exec/test_vm.cpp enforces this), including InterpStats.
@@ -65,28 +69,28 @@ class VmProgram {
   VmProgram(const Program& p, const std::map<std::string, i64>& params,
             Memory& mem);
 
-  /// Execute. Only `max_instances` is consulted from `opts` — callers
-  /// with an observer must use the AST walker (interpret() dispatches
+  /// Execute serially: worker 0 of 1 through run_worker, with the
+  /// `vm.run` span and the `exec.vm.*` counters. Only `max_instances`
+  /// and `cache_probe` are consulted from `opts` — callers with an
+  /// observer must use the AST walker (interpret() dispatches
   /// automatically).
   InterpStats run(const InterpOptions& opts = {});
-
-  /// Re-point array references at another Memory with identical
-  /// shapes (e.g. a fresh copy of the same prototype); everything
-  /// compiled stays valid.
-  void rebind(Memory& mem);
 
   /// Mark the loops whose variables appear in `vars` for chunked
   /// partitioning by run_worker. A mark nested inside another mark is
   /// dropped — only the outermost parallel level on any path splits.
-  /// Returns the number of loops left marked. Marks survive copying,
-  /// so per-worker clones of a marked prototype agree on the schedule.
-  int mark_partition(const std::vector<std::string>& vars);
+  /// The surviving marks are numbered in nest (code) order; returns
+  /// their loop variables in that order, so entry l names partition
+  /// level l of WorkerProfile::levels. Marks survive copying, so
+  /// per-worker clones of a marked prototype agree on the schedule.
+  std::vector<std::string> mark_partition(const std::vector<std::string>& vars);
 
-  /// SPMD worker body for partitioned execution (driven by
-  /// run_partitioned in exec/parallel.hpp; `this` must be worker `w`'s
-  /// private clone of a marked prototype, all clones bound to the same
-  /// Memory). Every worker executes the full control flow so loop
-  /// environments stay consistent, but:
+  /// The one execution loop. run() is worker 0 of 1 with nothing
+  /// marked; run_partitioned (exec/parallel.hpp) runs it on every
+  /// worker `w` of `nworkers`, `this` being worker `w`'s private clone
+  /// of a marked prototype, all clones bound to the same Memory. Every
+  /// worker executes the full control flow so loop environments stay
+  /// consistent, but:
   ///
   ///  * a marked loop's iteration range is block-split: worker w runs
   ///    the contiguous chunk [count*w/n, count*(w+1)/n) of each
@@ -99,7 +103,8 @@ class VmProgram {
   ///    workers != 0 skip whole subtrees that contain no marked loop;
   ///  * stats are counted iff the executing worker owns the work
   ///    (inside its chunk, or worker 0 elsewhere), so the sum over
-  ///    workers equals the serial run's InterpStats exactly.
+  ///    workers equals the serial run's InterpStats exactly;
+  ///  * the cache probe of `opts` is honoured only when nworkers == 1.
   ///
   /// A marked loop must be doall: chunks write disjoint locations, so
   /// the final Memory is bit-identical to the serial run at any worker
@@ -120,17 +125,6 @@ class VmProgram {
     std::atomic<i64>* chunks_done = nullptr;
   };
   void set_instrumentation(const WorkerInstr& wi) { instr_ = wi; }
-
-  /// The loops mark_partition() left marked, in nest (code) order:
-  /// (internal loop id, loop variable). The driver uses this to map
-  /// per-worker level tallies onto named report levels.
-  std::vector<std::pair<int, std::string>> marked_loops() const;
-
-  // -- introspection (tests, benchmarks) --
-  /// Accesses whose bounds checks were hoisted to loop entry.
-  i64 hoisted_accesses() const { return hoisted_accesses_; }
-  /// Accesses that kept exact per-execution checks.
-  i64 checked_accesses() const { return checked_accesses_; }
 
   /// Per-array subscript extremes over the program's execution, the
   /// sizing information declare_arrays needs. Pure: touches no Memory.
@@ -291,15 +285,13 @@ class VmProgram {
   std::vector<LinExpr> lins_;      // kAffine payloads
   std::vector<FuncSite> func_sites_;
   std::vector<int> func_args_;
-  int num_slots_ = 0;
   int max_sregs_ = 0;
-  i64 hoisted_accesses_ = 0;
-  i64 checked_accesses_ = 0;
 
-  // Partition marks (mark_partition): per loop, whether it is chunked
-  // by run_worker, and whether its subtree contains a marked loop
+  // Partition marks (mark_partition; sized at compile time, nothing
+  // marked): per loop, its partition level or -1 when run_worker does
+  // not chunk it, and whether its subtree contains a marked loop
   // (marked loops count as containing themselves).
-  std::vector<std::uint8_t> marked_;
+  std::vector<int> marked_;
   std::vector<std::uint8_t> reach_marked_;
 
   // -- runtime state --
@@ -307,14 +299,10 @@ class VmProgram {
   // log2(line_elems), precomputed when the probe is installed.
   CacheProbe* probe_ = nullptr;
   int probe_shift_ = 0;
-  // Worker instrumentation (run_worker only; per-clone, so unshared).
+  // Worker instrumentation (per-clone, so unshared).
   WorkerInstr instr_;
-  i64 chunk_t0_ = 0;  // now_ns() at current chunk start
-  bool chunk_profiled_ = false;
-  bool chunk_traced_ = false;
   std::vector<i64> env_;    // loop variable values, by slot
   std::vector<i64> hi_;     // per active loop: current upper bound
-  std::vector<i64> last_;   // per active loop: last executed value
   std::vector<i64> offs_;   // per access: running flat offset
   std::vector<double> sregs_;
 

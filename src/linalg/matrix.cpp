@@ -69,13 +69,6 @@ RatMat to_rational(const IntMat& m) {
   return r;
 }
 
-IntMat to_integer(const RatMat& m) {
-  IntMat r(m.rows(), m.cols());
-  for (int i = 0; i < m.rows(); ++i)
-    for (int j = 0; j < m.cols(); ++j) r(i, j) = m(i, j).as_integer();
-  return r;
-}
-
 namespace {
 template <typename M>
 std::string render(const M& m) {

@@ -44,17 +44,6 @@ class Matrix {
     return m;
   }
 
-  /// Build from a list of row vectors.
-  static Matrix from_rows(const std::vector<std::vector<T>>& rows) {
-    if (rows.empty()) return Matrix();
-    Matrix m(static_cast<int>(rows.size()), static_cast<int>(rows[0].size()));
-    for (int i = 0; i < m.rows(); ++i) {
-      INLT_CHECK_MSG(rows[i].size() == rows[0].size(), "ragged rows");
-      for (int j = 0; j < m.cols(); ++j) m(i, j) = rows[i][j];
-    }
-    return m;
-  }
-
   /// Build from a list of column vectors (how the paper writes
   /// dependence matrices: one column per dependence).
   static Matrix from_cols(const std::vector<std::vector<T>>& cols) {
@@ -152,10 +141,6 @@ bool is_identity(const IntMat& m);
 
 /// Exact ℚ view of an integer matrix.
 RatMat to_rational(const IntMat& m);
-
-/// Convert a rational matrix whose entries are all integers back to ℤ;
-/// throws if any entry has a denominator.
-IntMat to_integer(const RatMat& m);
 
 /// Pretty multi-line rendering for diagnostics.
 std::string mat_to_string(const IntMat& m);

@@ -48,12 +48,6 @@ std::atomic<i64>& stat_pool_reuse() {
   static std::atomic<i64>& c = Stats::global().counter("fm.scratch_reuse");
   return c;
 }
-// Sizes (constraint counts) of the systems fed to the eliminator,
-// log2-bucketed — the shape of the FM workload at a glance.
-HistogramCell& hist_system_size() {
-  static HistogramCell& h = Stats::global().histogram("fm.system_size");
-  return h;
-}
 
 // Per-thread pool of ConstraintSystem shells: shadow() and the
 // elimination chain create and discard one system per step, and the
@@ -487,8 +481,6 @@ ConstraintSystem eliminate_var_real_uncached(const ConstraintSystem& cs,
 }  // namespace
 
 ConstraintSystem eliminate_var_real(const ConstraintSystem& cs, int var_idx) {
-  hist_system_size().record(
-      static_cast<i64>(cs.equalities().size() + cs.inequalities().size()));
   ScopedSpan span("fm.eliminate", "fm");
   if (span.active()) {
     span.arg("vars", static_cast<i64>(cs.num_vars()));

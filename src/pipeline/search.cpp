@@ -398,8 +398,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
         cs.arg("legal", c.result.legal);
       }
     };
-    int nthreads =
-        resolve_threads(opts_.threads, opts_.max_threads, pending.size());
+    int nthreads = resolve_threads(opts_.threads, pending.size());
     if (nthreads == 1) {
       for (size_t i = 0; i < pending.size(); ++i) eval_one(i);
     } else {

@@ -36,9 +36,9 @@
 
 namespace inlt {
 
-/// Per-(worker, partitioned-level) tally. Indexed by the VM's internal
-/// loop id while recording; the driver maps the marked ids onto
-/// ProfileReport::levels when it builds the report.
+/// Per-(worker, partitioned-level) tally, indexed by the level number
+/// VmProgram::mark_partition assigns (nest order, aligned with
+/// ProfileReport::levels).
 struct LevelTally {
   i64 activations = 0;  ///< chunked activations seen (incl. empty chunks)
   i64 chunks = 0;       ///< non-empty chunks executed
@@ -55,8 +55,7 @@ struct WorkerProfile {
   // Mirror of the worker's InterpStats (filled by the driver).
   i64 instances = 0;
   i64 loop_iterations = 0;
-  /// Per-VM-loop tallies while recording; per-report-level after
-  /// aggregation (aligned with ProfileReport::levels).
+  /// Per-partitioned-level tallies (aligned with ProfileReport::levels).
   std::vector<LevelTally> levels;
 };
 

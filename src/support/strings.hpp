@@ -20,9 +20,4 @@ std::string join(const Range& items, const std::string& sep) {
   return os.str();
 }
 
-/// True if `s` starts with `prefix`.
-inline bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
 }  // namespace inlt

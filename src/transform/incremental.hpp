@@ -45,8 +45,6 @@ class IncrementalLegality {
   /// Number of loop rows a candidate supplies, in push order: slot s
   /// is the loop position all_loop_positions()[s], outermost first.
   int num_slots() const { return static_cast<int>(slots_.size()); }
-  /// Layout position of slot s.
-  int slot_position(int s) const { return slots_[s]; }
 
   /// Can this engine decide the matrix? True for square matrices of
   /// layout width whose edge rows are identity rows (loop rows are
@@ -65,8 +63,7 @@ class IncrementalLegality {
   /// Index of the dependence that killed the prefix (-1 if viable).
   int killer() const;
   /// Slot (row) at which the prefix died (-1 if viable). Slots number
-  /// pushed rows 0..num_slots()-1, outermost first; convert to a
-  /// layout position with slot_position().
+  /// pushed rows 0..num_slots()-1, outermost first.
   int killer_row() const;
 
   /// After a full-depth push with current_legal() == false on a

@@ -422,6 +422,15 @@ TEST_F(NativeTest, FallsBackToVmWithoutCompiler) {
   std::string why;
   EXPECT_FALSE(native_available(&why));
   EXPECT_NE(why.find("no usable C compiler"), std::string::npos) << why;
+  // The diagnostic states the reason only; the VM fallback is the
+  // caller's choice, so native_prepare does not name it.
+  Diagnostic diag;
+  EXPECT_EQ(native_prepare(p, &diag), nullptr);
+  EXPECT_EQ(diag.stage, Stage::kExec);
+  EXPECT_NE(diag.message.find("native engine unavailable"), std::string::npos)
+      << diag.message;
+  EXPECT_EQ(diag.message.find("using the VM"), std::string::npos)
+      << diag.message;
 
   StatsSnapshot s0 = Stats::global().snapshot();
   Memory native_mem = proto, vm_mem = proto;

@@ -17,6 +17,7 @@
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
+#include "support/trace.hpp"
 #include "transform/transforms.hpp"
 
 namespace inlt {
@@ -208,15 +209,34 @@ end
 }
 
 TEST(Vm, BoundsChecksHoistedForUnguardedStatements) {
-  Program p = gallery::cholesky();
+  // A(I) over I = 1..5 with A sized 1..4: the unguarded statement's
+  // subscript range is checked once at loop entry, so the run fails
+  // before its first write (the walker, checking per access, writes
+  // A(1..4) first).
+  Program p = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = 1.0
+end
+)");
   Memory mem;
-  declare_arrays(p, {{"N", 4}}, mem);
-  VmProgram vm(p, {{"N", 4}}, mem);
-  EXPECT_GT(vm.hoisted_accesses(), 0);
-  EXPECT_EQ(vm.checked_accesses(), 0);  // cholesky has no guards
+  mem.declare("A", {1}, {4});
+  VmProgram vm(p, {{"N", 5}}, mem);
+  EXPECT_THROW(vm.run(), Error);
+  Memory walked;
+  walked.declare("A", {1}, {4});
+  InterpOptions opts;
+  opts.engine = ExecEngine::kAstWalker;
+  EXPECT_THROW(interpret(p, {{"N", 5}}, walked, opts), Error);
+  for (i64 i = 1; i <= 4; ++i) {
+    EXPECT_EQ(mem.at("A").get({i}), 0.0) << i;
+    EXPECT_EQ(walked.at("A").get({i}), 1.0) << i;
+  }
 }
 
 TEST(Vm, GuardedStatementsKeepPerAccessChecks) {
+  // A guarded statement checks each access as it executes: the
+  // in-range instances I = 3, 4 run, then I = 5 fails.
   Program p = parse_program(R"(
 param N
 do I = 1, N
@@ -226,10 +246,44 @@ do I = 1, N
 end
 )");
   Memory mem;
-  declare_arrays(p, {{"N", 5}}, mem);
+  mem.declare("A", {1}, {4});
   VmProgram vm(p, {{"N", 5}}, mem);
-  EXPECT_EQ(vm.hoisted_accesses(), 0);
-  EXPECT_GT(vm.checked_accesses(), 0);
+  EXPECT_THROW(vm.run(), Error);
+  EXPECT_EQ(mem.at("A").get({2}), 0.0);
+  EXPECT_EQ(mem.at("A").get({3}), 1.0);
+  EXPECT_EQ(mem.at("A").get({4}), 2.0);
+}
+
+TEST(Vm, CompileSpanCarriesCodeLength) {
+  // vm.compile records the compiled size, control plus scalar
+  // instructions, as its code_len arg.
+  Program small = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = 1.0
+end
+)");
+  Program big = gallery::cholesky();
+  Memory small_mem, big_mem;
+  declare_arrays(small, {{"N", 4}}, small_mem);
+  declare_arrays(big, {{"N", 4}}, big_mem);
+  Tracer& tr = Tracer::global();
+  tr.clear();
+  tr.enable();
+  VmProgram small_vm(small, {{"N", 4}}, small_mem);
+  VmProgram big_vm(big, {{"N", 4}}, big_mem);
+  tr.disable();
+  std::vector<i64> lens;
+  for (const TraceEvent& ev : tr.events())
+    if (std::strcmp(ev.name, "vm.compile") == 0)
+      for (const TraceArg& a : ev.args)
+        if (std::strcmp(a.key, "code_len") == 0)
+          lens.push_back(std::stoll(a.value));
+  tr.clear();
+  ASSERT_EQ(lens.size(), 2u);
+  // Loop enter, statement, loop next, halt; one constant load.
+  EXPECT_EQ(lens[0], 5);
+  EXPECT_GT(lens[1], lens[0]);
 }
 
 TEST(Vm, OutOfBoundsStillFailsLoudly) {
@@ -270,21 +324,6 @@ TEST(Vm, ObserverForcesWalkerFallback) {
   opts.observer = [&](const AccessEvent&) { ++events; };
   interpret(p, {{"N", 4}}, mem, opts);
   EXPECT_GT(events, 0);
-}
-
-TEST(Vm, RebindRunsAgainstFreshMemory) {
-  Program p = gallery::cholesky();
-  std::map<std::string, i64> params{{"N", 6}};
-  Memory a;
-  declare_arrays(p, params, a);
-  fill_spd(a, 7);
-  Memory b = a;
-
-  VmProgram vm(p, params, a);
-  vm.run();
-  vm.rebind(b);
-  vm.run();
-  expect_bit_identical(a, b, "rebind");
 }
 
 TEST(Vm, VerifyEquivalenceAgreesAcrossEngines) {

@@ -1,5 +1,4 @@
-// Stats registry: counters, histograms, reset semantics, text/JSON
-// dumps.
+// Stats registry: counters, reset semantics, text/JSON dumps.
 #include "support/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -73,13 +72,9 @@ TEST(Stats, TextDumpListsCountersAndTimers) {
 TEST(Stats, JsonDumpShape) {
   Stats s;
   s.add("c1", 3);
-  s.add_sample("h1", 42);
-  std::string j = s.to_json();
-  // Exactly two keys: counters and histograms.
-  EXPECT_EQ(j.rfind("{\"counters\":{", 0), 0u) << j;
-  EXPECT_NE(j.find("\"c1\":3"), std::string::npos) << j;
-  EXPECT_NE(j.find("},\"histograms\":{\"h1\":"), std::string::npos) << j;
-  EXPECT_EQ(j.find("\"timers\""), std::string::npos) << j;
+  s.add("c2", 4);
+  // Exactly one key: counters.
+  EXPECT_EQ(s.to_json(), "{\"counters\":{\"c1\":3,\"c2\":4}}");
 }
 
 TEST(Stats, SnapshotDeltaIsolatesOnePhase) {
@@ -105,68 +100,6 @@ TEST(Stats, SnapshotUnaffectedByLaterMutation) {
   s.add("snap.k", 100);
   s.reset();
   EXPECT_EQ(snap.counter("snap.k"), 1);  // a copy, not a view
-}
-
-TEST(Stats, HistBucketBoundaries) {
-  EXPECT_EQ(hist_bucket(-5), 0);
-  EXPECT_EQ(hist_bucket(0), 0);
-  EXPECT_EQ(hist_bucket(1), 1);
-  EXPECT_EQ(hist_bucket(2), 2);
-  EXPECT_EQ(hist_bucket(3), 2);
-  EXPECT_EQ(hist_bucket(4), 3);
-  EXPECT_EQ(hist_bucket(1023), 10);
-  EXPECT_EQ(hist_bucket(1024), 11);
-  EXPECT_EQ(hist_bucket_lo(0), 0);
-  EXPECT_EQ(hist_bucket_lo(1), 1);
-  EXPECT_EQ(hist_bucket_lo(2), 2);
-  EXPECT_EQ(hist_bucket_lo(11), 1024);
-}
-
-TEST(Stats, HistogramRecordsCountsSumsAndBuckets) {
-  Stats s;
-  HistogramCell& h = s.histogram("h");
-  h.record(1);
-  h.record(3);
-  h.record(1000);
-  s.add_sample("h", 0);
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_EQ(h.sum(), 1004);
-  EXPECT_EQ(h.bucket(0), 1);   // the 0 sample
-  EXPECT_EQ(h.bucket(1), 1);   // 1
-  EXPECT_EQ(h.bucket(2), 1);   // 3
-  EXPECT_EQ(h.bucket(10), 1);  // 1000
-  // The reference is stable and reset() zeroes in place.
-  s.reset();
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_EQ(&h, &s.histogram("h"));
-}
-
-TEST(Stats, HistogramAppearsInTextAndJson) {
-  Stats s;
-  s.add_sample("fm.sizes", 5);
-  s.add_sample("fm.sizes", 6);
-  std::string text = s.to_text();
-  EXPECT_NE(text.find("fm.sizes"), std::string::npos) << text;
-  EXPECT_NE(text.find("n=2"), std::string::npos) << text;
-  std::string j = s.to_json();
-  EXPECT_NE(j.find("\"histograms\""), std::string::npos) << j;
-  EXPECT_NE(j.find("\"fm.sizes\""), std::string::npos) << j;
-  EXPECT_NE(j.find("\"sum\":11"), std::string::npos) << j;
-}
-
-TEST(Stats, SnapshotDeltaSubtractsHistograms) {
-  Stats s;
-  s.add_sample("d.h", 4);
-  StatsSnapshot before = s.snapshot();
-  s.add_sample("d.h", 4);
-  s.add_sample("d.h", 100);
-  StatsSnapshot delta = s.snapshot() - before;
-  const StatsSnapshot::HistogramValue& hv = delta.histograms.at("d.h");
-  EXPECT_EQ(hv.count, 2);
-  EXPECT_EQ(hv.sum, 104);
-  EXPECT_EQ(hv.buckets[hist_bucket(4)], 1);
-  EXPECT_EQ(hv.buckets[hist_bucket(100)], 1);
-  EXPECT_DOUBLE_EQ(hv.mean(), 52.0);
 }
 
 }  // namespace

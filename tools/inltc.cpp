@@ -45,11 +45,11 @@
 //        --raw        skip the simplification pass
 //        --exact      use the exact ILP legality pipeline
 //        --pad-zero   zero padding instead of diagonal (ablation)
-//        --stats      dump pipeline counters and histograms to stderr
-//        --stats-json print the Stats snapshot (counters and
-//                     histograms — including per-worker sums) as JSON
-//                     on stdout, matching the --diag-json convention;
-//                     per-stage times come from --trace-summary
+//        --stats      dump pipeline counters to stderr
+//        --stats-json print the Stats snapshot (counters, including
+//                     per-worker sums) as JSON on stdout, matching the
+//                     --diag-json convention; per-stage times come from
+//                     --trace-summary
 //        --diag-json  print structured diagnostics as JSON on stdout
 //        --profile    enable the runtime execution profiler
 //                     (support/profile.hpp) for every partitioned run
@@ -147,7 +147,7 @@ flags: --verify N | --engine {vm,ast,native} | --raw | --exact | --pad-zero
        --stats | --stats-json | --diag-json | --threads N | --exec-threads N
        --search | --trace-out F | --trace-summary | --progress
        --profile
-  (--stats/--stats-json: counters and histograms; per-stage wall times
+  (--stats/--stats-json: counters; per-stage wall times
    come from the span tracer: --trace-summary or --trace-out F)
 search/rank flags: --skew-bound B | --skew-depth D | --full | --cost | --top K
   (--full --verify N also semantically verifies every legal candidate)
