@@ -73,7 +73,7 @@ void BM_PaddingAblation(benchmark::State& state) {
   PadMode pad = state.range(0) == 0 ? PadMode::kDiagonal : PadMode::kZero;
   int ndeps = 0;
   for (auto _ : state) {
-    DependenceSet ds = analyze_dependences(layout, {pad, 8});
+    DependenceSet ds = analyze_dependences(layout, pad);
     ndeps = static_cast<int>(ds.deps.size());
     benchmark::DoNotOptimize(ndeps);
   }

@@ -7,7 +7,9 @@
 // Each measurement times `interpret()` end to end (the VM side
 // includes bytecode compilation; the native side runs after one
 // untimed warmup, so its timed runs hit the in-process kernel cache —
-// exactly what a verification sweep over many seeds sees). Emits
+// exactly what a verification sweep over many seeds sees); a cell's
+// throughput comes from its fastest timed run, which host load moves
+// least. Emits
 // BENCH_interp.json (override with --out=PATH) and, when a C compiler
 // is available, BENCH_native.json (--native-out=PATH) with the
 // machine-independent facts the regression gate wants: native results
@@ -17,6 +19,7 @@
 // records {"unavailable": true} and the gates skip. Unknown
 // --benchmark_* flags are accepted and ignored so the binary can run
 // under the same harness invocation as the google-benchmark suites.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -71,10 +74,13 @@ struct Kernel {
 
 struct EngineRun {
   double seconds = 0;  // total measured interpret() time
+  double best = 0;     // fastest single run
   i64 runs = 0;
   i64 instances = 0;   // per run
+  // From the fastest run: on a shared host the mean over the budget
+  // carries every other tenant's interference, the minimum the least.
   double ips() const {
-    return seconds > 0 ? static_cast<double>(instances) * runs / seconds : 0;
+    return best > 0 ? static_cast<double>(instances) / best : 0;
   }
 };
 
@@ -95,7 +101,9 @@ EngineRun measure(const Program& p, const std::map<std::string, i64>& params,
     Memory mem = proto;
     double t0 = now_s();
     interpret(p, params, mem, opts);
-    er.seconds += now_s() - t0;
+    double dt = now_s() - t0;
+    er.seconds += dt;
+    er.best = er.runs == 0 ? dt : std::min(er.best, dt);
     er.runs += 1;
     if (er.seconds >= budget_s && er.runs >= 3) break;
   }
@@ -117,7 +125,8 @@ bool bit_identical(const Memory& a, const Memory& b) {
 
 void emit_engine(std::ostream& os, const char* name, const EngineRun& er) {
   os << "\"" << name << "\":{"
-     << "\"seconds\":" << er.seconds << ",\"runs\":" << er.runs
+     << "\"seconds\":" << er.seconds << ",\"best_seconds\":" << er.best
+     << ",\"runs\":" << er.runs
      << ",\"instances\":" << er.instances
      << ",\"instances_per_second\":" << er.ips() << "}";
 }

@@ -15,6 +15,9 @@
 //                  deferred to the caller — the driver's native
 //                  decide-the-space throughput.
 //
+// It also counts the Fourier–Motzkin eliminations that dependence
+// analysis of the Cholesky and LU nests spends (deterministic).
+//
 // Emits BENCH_search.json (override with --out=PATH). Unknown
 // --benchmark_* flags are accepted and ignored so the binary can run
 // under the same harness invocation as the google-benchmark suites;
@@ -28,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "dependence/analyzer.hpp"
 #include "ir/gallery.hpp"
 #include "pipeline/search.hpp"
 #include "support/stats.hpp"
@@ -146,6 +150,17 @@ SweepReport run_sweep(const Sweep& sweep, double budget_s) {
   return rep;
 }
 
+// Fourier–Motzkin eliminations spent analysing one gallery nest: a
+// deterministic count, gated in bench/baseline.json so that a return
+// to per-k feasibility scans in the Δ classification fails CI.
+i64 analysis_eliminations(Program (*make)()) {
+  Program p = make();
+  IvLayout layout(p);
+  i64 before = Stats::global().snapshot().counter("fm.eliminations");
+  analyze_dependences(layout);
+  return Stats::global().snapshot().counter("fm.eliminations") - before;
+}
+
 void emit_phase(std::ostream& os, const char* name, const Phase& ph) {
   os << "\"" << name << "\":{"
      << "\"seconds\":" << ph.seconds << ",\"sweeps\":" << ph.sweeps
@@ -180,8 +195,16 @@ int main(int argc, char** argv) {
       {"cholesky_orders_skew1", &gallery::cholesky, SearchSpace{1, 1}},
   };
 
+  const i64 elim_cholesky = analysis_eliminations(&gallery::cholesky);
+  const i64 elim_lu = analysis_eliminations(&gallery::lu);
+  std::printf("analysis fm.eliminations: cholesky %lld, lu %lld\n",
+              static_cast<long long>(elim_cholesky),
+              static_cast<long long>(elim_lu));
+
   std::ostringstream js;
-  js << "{\"benchmark\":\"bench_search\",\"sweeps\":[";
+  js << "{\"benchmark\":\"bench_search\",\"analysis_fm_eliminations\":{"
+     << "\"cholesky\":" << elim_cholesky << ",\"lu\":" << elim_lu
+     << ",\"total\":" << elim_cholesky + elim_lu << "},\"sweeps\":[";
   double headline = 0;
   for (size_t i = 0; i < sweeps.size(); ++i) {
     SweepReport rep = run_sweep(sweeps[i], budget_s);

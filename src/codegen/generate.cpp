@@ -427,7 +427,7 @@ Program build_program(const IvLayout& src, const AstRecovery& rec,
 }  // namespace
 
 CodegenResult generate_code(const IvLayout& src, const DependenceSet& deps,
-                            const IntMat& m, const CodegenOptions& opts) {
+                            const IntMat& m, PadMode pad) {
   ScopedSpan span("codegen.generate", "codegen");
   AstRecovery rec = [&] {
     ScopedSpan phase("codegen.recover_ast", "codegen");
@@ -445,7 +445,7 @@ CodegenResult generate_code(const IvLayout& src, const DependenceSet& deps,
   }
   std::vector<StatementPlan> plans = [&] {
     ScopedSpan phase("codegen.plan", "codegen");
-    return plan_statements(src, deps, m, rec, legality, opts.pad);
+    return plan_statements(src, deps, m, rec, legality, pad);
   }();
   ScopedSpan phase("codegen.build", "codegen");
   Program out = build_program(src, rec, plans);
@@ -453,7 +453,7 @@ CodegenResult generate_code(const IvLayout& src, const DependenceSet& deps,
 }
 
 ExactCodegenResult generate_code_exact(const IvLayout& src, const IntMat& m,
-                                       const CodegenOptions& opts) {
+                                       PadMode pad) {
   ScopedSpan span("codegen.generate_exact", "codegen");
   AstRecovery rec = [&] {
     ScopedSpan phase("codegen.recover_ast", "codegen");
@@ -461,7 +461,7 @@ ExactCodegenResult generate_code_exact(const IvLayout& src, const IntMat& m,
   }();
   ExactLegalityResult legality = [&] {
     ScopedSpan phase("codegen.legality", "codegen");
-    return check_legality_exact(src, m, rec, opts.pad);
+    return check_legality_exact(src, m, rec, pad);
   }();
   if (!legality.legal()) {
     std::ostringstream os;
@@ -472,7 +472,7 @@ ExactCodegenResult generate_code_exact(const IvLayout& src, const IntMat& m,
   std::vector<StatementPlan> plans = [&] {
     ScopedSpan phase("codegen.plan", "codegen");
     return plan_statements_from_self(src, m, rec, legality.unsatisfied_self,
-                                     opts.pad);
+                                     pad);
   }();
   ScopedSpan phase("codegen.build", "codegen");
   Program out = build_program(src, rec, plans);

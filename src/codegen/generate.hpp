@@ -25,20 +25,18 @@
 
 namespace inlt {
 
-struct CodegenOptions {
-  PadMode pad = PadMode::kDiagonal;
-};
-
 struct CodegenResult {
   Program program;  ///< executable transformed program
   LegalityResult legality;
   std::vector<StatementPlan> plans;
 };
 
-/// Generate the transformed program for a legal transformation matrix.
-/// Throws TransformError for illegal or unsupported matrices.
+/// Generate the transformed program for a legal transformation matrix,
+/// padding instance vectors by `pad`. Throws TransformError for illegal
+/// or unsupported matrices.
 CodegenResult generate_code(const IvLayout& src, const DependenceSet& deps,
-                            const IntMat& m, const CodegenOptions& opts = {});
+                            const IntMat& m,
+                            PadMode pad = PadMode::kDiagonal);
 
 struct ExactCodegenResult {
   Program program;
@@ -51,6 +49,6 @@ struct ExactCodegenResult {
 /// test of transform/exact_legality.hpp instead of direction-vector
 /// hulls. Accepts some matrices the hull test conservatively rejects.
 ExactCodegenResult generate_code_exact(const IvLayout& src, const IntMat& m,
-                                       const CodegenOptions& opts = {});
+                                       PadMode pad = PadMode::kDiagonal);
 
 }  // namespace inlt

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "dependence/system.hpp"
 #include "support/check.hpp"
@@ -24,35 +25,15 @@ std::string DependenceSet::to_string() const {
   return os.str();
 }
 
-namespace {
-
-// Dedup key for analyzed dependences: the identifying fields compared
-// directly — no per-dependence string rendering on the analysis path
-// (dep_to_string alone dominated dedup cost on wide layouts).
-struct DepKey {
-  std::string src, dst, array;
-  DepKind kind;
-  DepVector vector;
-
-  explicit DepKey(const Dependence& d)
-      : src(d.src), dst(d.dst), array(d.array), kind(d.kind),
-        vector(d.vector) {}
-
-  friend bool operator<(const DepKey& a, const DepKey& b) {
-    if (int c = a.src.compare(b.src)) return c < 0;
-    if (int c = a.dst.compare(b.dst)) return c < 0;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    if (int c = a.array.compare(b.array)) return c < 0;
-    return a.vector < b.vector;  // lexicographic over DepEntry
-  }
-};
-
-}  // namespace
-
-DependenceSet analyze_dependences(const IvLayout& layout,
-                                  const AnalyzerOptions& opts) {
+DependenceSet analyze_dependences(const IvLayout& layout, PadMode pad) {
   DependenceSet result;
-  std::set<DepKey> seen;
+  // Dedup on the identifying fields, compared in place.
+  auto key = [&](size_t i) {
+    const Dependence& d = result.deps[i];
+    return std::tie(d.src, d.dst, d.kind, d.array, d.vector);
+  };
+  auto less = [&](size_t a, size_t b) { return key(a) < key(b); };
+  std::set<size_t, decltype(less)> seen(less);
   for (const PairSystem& ps : build_pair_systems(layout)) {
     ScopedSpan span("dep.pair", "dependence");
     if (span.active()) {
@@ -65,19 +46,13 @@ DependenceSet analyze_dependences(const IvLayout& layout,
     vec.reserve(layout.size());
     for (int q = 0; q < layout.size(); ++q) {
       LinExpr dv = position_value_expr(ps.base, layout, ps.dst, q,
-                                       /*src_side=*/false, opts.pad);
+                                       /*src_side=*/false, pad);
       LinExpr sv = position_value_expr(ps.base, layout, ps.src, q,
-                                       /*src_side=*/true, opts.pad);
-      vec.push_back(classify_delta(ps.base, lin_subtract(ps.base, dv, sv),
-                                   opts.distance_scan_limit));
+                                       /*src_side=*/true, pad);
+      vec.push_back(classify_delta(ps.base, lin_subtract(ps.base, dv, sv)));
     }
-    Dependence dep;
-    dep.src = ps.src;
-    dep.dst = ps.dst;
-    dep.kind = ps.kind;
-    dep.array = ps.array;
-    dep.vector = std::move(vec);
-    if (seen.emplace(dep).second) result.deps.push_back(std::move(dep));
+    result.deps.push_back({ps.src, ps.dst, ps.kind, ps.array, std::move(vec)});
+    if (!seen.insert(result.deps.size() - 1).second) result.deps.pop_back();
   }
   return result;
 }

@@ -34,17 +34,10 @@ struct DependenceSet {
   std::string to_string() const;
 };
 
-struct AnalyzerOptions {
-  PadMode pad = PadMode::kDiagonal;
-  /// Window for exact-distance detection; a |Δ| beyond this is reported
-  /// as an unbounded direction. 8 comfortably covers real loop nests.
-  i64 distance_scan_limit = 8;
-};
-
-/// Run dependence analysis. The program must be a source program:
-/// unit steps, no guards, affine bounds with denominator 1. Throws
-/// InvalidProgramError otherwise.
+/// Run dependence analysis, padding instance vectors by `pad`. The
+/// program must be a source program: unit steps, no guards, affine
+/// bounds with denominator 1. Throws InvalidProgramError otherwise.
 DependenceSet analyze_dependences(const IvLayout& layout,
-                                  const AnalyzerOptions& opts = {});
+                                  PadMode pad = PadMode::kDiagonal);
 
 }  // namespace inlt

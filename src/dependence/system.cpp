@@ -1,9 +1,29 @@
 #include "dependence/system.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+
 #include "linalg/project.hpp"
 #include "support/check.hpp"
 
 namespace inlt {
+
+LinExpr lin_subtract(const ConstraintSystem& cs, const LinExpr& a,
+                     const LinExpr& b) {
+  LinExpr r = cs.zero_expr();
+  for (int i = 0; i < cs.num_vars(); ++i)
+    r.coef[i] = checked_sub(a.coef[i], b.coef[i]);
+  r.constant = checked_sub(a.constant, b.constant);
+  return r;
+}
+
+LinExpr lin_negate(const LinExpr& e) {
+  LinExpr r = e;
+  for (i64& c : r.coef) c = checked_neg(c);
+  r.constant = checked_neg(r.constant);
+  return r;
+}
 
 namespace {
 
@@ -19,15 +39,6 @@ LinExpr to_lin(const ConstraintSystem& cs, const AffineExpr& e,
         prog.is_param(name) ? name : (src_side ? src_var(name) : dst_var(name));
     r.coef[cs.var(v)] = checked_add(r.coef[cs.var(v)], coef);
   }
-  return r;
-}
-
-LinExpr lin_sub(const ConstraintSystem& cs, const LinExpr& a,
-                const LinExpr& b) {
-  LinExpr r = cs.zero_expr();
-  for (int i = 0; i < cs.num_vars(); ++i)
-    r.coef[i] = checked_sub(a.coef[i], b.coef[i]);
-  r.constant = checked_sub(a.constant, b.constant);
   return r;
 }
 
@@ -49,7 +60,7 @@ void add_loop_bounds(ConstraintSystem& cs, const Program& prog,
       LinExpr lo = to_lin(cs, t.expr, prog, src_side);
       LinExpr e = cs.zero_expr();
       e.coef[vi] = 1;
-      cs.add_ge(lin_sub(cs, e, lo));
+      cs.add_ge(lin_subtract(cs, e, lo));
     }
     for (const BoundTerm& t : l->upper().terms) {
       if (t.den != 1)
@@ -58,7 +69,7 @@ void add_loop_bounds(ConstraintSystem& cs, const Program& prog,
       LinExpr hi = to_lin(cs, t.expr, prog, src_side);
       LinExpr e = cs.zero_expr();
       e.coef[vi] = 1;
-      cs.add_ge(lin_sub(cs, hi, e));
+      cs.add_ge(lin_subtract(cs, hi, e));
     }
   }
 }
@@ -135,7 +146,7 @@ std::vector<PairSystem> build_pair_systems(const IvLayout& layout) {
           for (size_t dim = 0; dim < a.subscripts.size(); ++dim) {
             LinExpr ea = to_lin(base, a.subscripts[dim], prog, true);
             LinExpr eb = to_lin(base, b.subscripts[dim], prog, false);
-            base.add_eq(lin_sub(base, ea, eb));
+            base.add_eq(lin_subtract(base, ea, eb));
           }
 
           for (size_t t = 0; t <= c; ++t) {
@@ -184,61 +195,85 @@ LinExpr shifted(const LinExpr& e, i64 k) {
   return r;
 }
 
-LinExpr negated(const ConstraintSystem& cs, const LinExpr& e) {
-  LinExpr r = cs.zero_expr();
-  for (int i = 0; i < cs.num_vars(); ++i) r.coef[i] = checked_neg(e.coef[i]);
-  r.constant = checked_neg(e.constant);
-  return r;
+// The largest integer value of `e` over the feasible system, given the
+// bounds lo_r <= e <= hi_r of its shadow (lo_r absent when unbounded).
+// Every integer point satisfies the shadow, so "e >= k is feasible" is
+// true at lo_r and false above the answer: one test confirms hi_r, and
+// otherwise a binary search brackets the answer by lo_r, or by steps
+// doubling down from hi_r.
+i64 integer_max(const ConstraintSystem& cs, const LinExpr& e, i64 hi_r,
+                std::optional<i64> lo_r) {
+  auto reaches = [&](i64 k) { return feasible_with(cs, shifted(e, k)); };
+  if (reaches(hi_r)) return hi_r;
+  i64 bad = hi_r, good = 0;
+  if (lo_r) {
+    good = *lo_r;
+  } else {
+    for (i64 step = 1;; step = checked_mul(step, 2)) {
+      i64 k = checked_sub(hi_r, step);
+      if (reaches(k)) {
+        good = k;
+        break;
+      }
+      bad = k;
+    }
+  }
+  INLT_CHECK_MSG(good < bad, "dependence classification found no integer");
+  while (bad - good > 1) {
+    i64 mid = good + (bad - good) / 2;
+    (reaches(mid) ? good : bad) = mid;
+  }
+  return good;
 }
 
 }  // namespace
 
-// Classify delta over the (feasible) system: the convex hull of its
-// values, clipped to [-limit, limit] with unbounded ends detected.
-DepEntry classify_delta(const ConstraintSystem& cs, const LinExpr& delta,
-                        i64 limit) {
+// Classify delta over the (feasible) system as in §3: project onto a Δ
+// variable, then confirm each finite end of the shadow over the
+// integers. An unbounded shadow end is an unbounded integer end: a
+// rational polyhedron with an integer point has an integer hull with
+// the same recession cone.
+DepEntry classify_delta(const ConstraintSystem& cs, const LinExpr& delta) {
   if (delta.is_constant()) return DepEntry::exact(delta.constant);
 
-  // feas_ge(k): can delta >= k?  (monotone decreasing in k)
-  auto feas_ge = [&](i64 k) { return feasible_with(cs, shifted(delta, k)); };
-  // feas_le(k): can delta <= k?  (monotone increasing in k)
-  auto feas_le = [&](i64 k) {
-    return feasible_with(cs, negated(cs, shifted(delta, k)));
+  std::optional<i64> lo_r, hi_r;
+  {
+    // A one-shot projection: keep it out of any installed cache.
+    ScopedProjectionCache uncached(nullptr);
+    ConstraintSystem ext = cs;
+    int d = ext.add_var("$delta");
+    LinExpr def = ext.zero_expr();
+    for (int i = 0; i < cs.num_vars(); ++i) def.coef[i] = delta.coef[i];
+    def.coef[d] = -1;
+    def.constant = delta.constant;
+    ext.add_eq(std::move(def));  // Δ == delta
+    ConstraintSystem shadow = project_onto(ext, {d});
+    if (!normalize_system(shadow))
+      throw Error("dependence classification found an empty interval");
+    // Normalized one-variable constraints have coefficient ±1.
+    for (const LinExpr& e : shadow.equalities())
+      lo_r = hi_r = checked_neg(checked_mul(e.constant, e.coef[0]));
+    for (const LinExpr& e : shadow.inequalities()) {
+      if (e.coef[0] > 0)
+        lo_r = std::max(lo_r.value_or(INT64_MIN), checked_neg(e.constant));
+      else
+        hi_r = std::min(hi_r.value_or(INT64_MAX), e.constant);
+    }
+  }
+  if (lo_r && hi_r && *lo_r == *hi_r) return DepEntry::exact(*lo_r);
+
+  // The low end is the high end of -delta.
+  auto neg = [](std::optional<i64> v) {
+    return v ? std::optional(checked_neg(*v)) : v;
   };
+  std::optional<i64> hi, lo;
+  if (hi_r) hi = integer_max(cs, delta, *hi_r, lo_r);
+  if (lo_r) lo = neg(integer_max(cs, lin_negate(delta), *neg(lo_r), neg(hi)));
 
-  bool hi_inf = feas_ge(limit + 1);
-  bool lo_inf = feas_le(-limit - 1);
-
-  i64 hi = 0, lo = 0;
-  if (!hi_inf) {
-    hi = -limit - 1;  // provisional: all values below the window
-    for (i64 k = limit; k >= -limit; --k)
-      if (feas_ge(k)) {
-        hi = k;
-        break;
-      }
-  }
-  if (!lo_inf) {
-    lo = limit + 1;
-    for (i64 k = -limit; k <= limit; ++k)
-      if (feas_le(k)) {
-        lo = k;
-        break;
-      }
-  }
-
-  if (lo_inf && hi_inf) return DepEntry::star();
-  if (lo_inf) return DepEntry::at_most(hi);
-  if (hi_inf) return DepEntry::at_least(lo);
-  if (lo > hi)
-    throw Error("dependence classification found an empty interval");
-  return DepEntry::range(lo, hi);
+  if (!lo && !hi) return DepEntry::star();
+  if (!lo) return DepEntry::at_most(*hi);
+  if (!hi) return DepEntry::at_least(*lo);
+  return DepEntry::range(*lo, *hi);
 }
-
-LinExpr lin_subtract(const ConstraintSystem& cs, const LinExpr& a,
-                     const LinExpr& b) {
-  return lin_sub(cs, a, b);
-}
-
 }  // namespace inlt
 

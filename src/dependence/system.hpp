@@ -38,14 +38,15 @@ LinExpr position_value_expr(const ConstraintSystem& cs,
                             const IvLayout& layout, const std::string& label,
                             int q, bool src_side, PadMode pad);
 
-/// Convex hull of the values `delta` takes over the (feasible) system,
-/// clipped to [-limit, limit] with unbounded ends detected by
-/// feasibility queries.
-DepEntry classify_delta(const ConstraintSystem& cs, const LinExpr& delta,
-                        i64 limit);
+/// Convex hull of the integer values `delta` takes over the (feasible)
+/// system: the shadow of one projection onto Δ, each finite end
+/// confirmed by integer feasibility tests.
+DepEntry classify_delta(const ConstraintSystem& cs, const LinExpr& delta);
 
 /// a - b over cs's variable space.
 LinExpr lin_subtract(const ConstraintSystem& cs, const LinExpr& a,
                      const LinExpr& b);
+/// -e.
+LinExpr lin_negate(const LinExpr& e);
 
 }  // namespace inlt

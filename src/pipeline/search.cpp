@@ -197,7 +197,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
       ScopedProjectionCache install(&cache_);
       AstRecovery rec = recover_ast(*layout_, c.matrix);
       c.result.legal =
-          check_legality_exact(*layout_, c.matrix, rec, opts_.codegen.pad)
+          check_legality_exact(*layout_, c.matrix, rec, opts_.pad)
               .legal();
       c.rejected = !c.result.legal;
     });
@@ -206,7 +206,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   // verdict is produced inside codegen by generate_code_exact.)
   if (cost) {
     ModelOptions mopts = sopts.model;
-    mopts.pad = opts_.codegen.pad;
+    mopts.pad = opts_.pad;
     mopts.exec_threads = sopts.exec_threads;
     pipe.add(StageKind::kComplete, /*deferred=*/true, [this](Candidate& c) {
       try {

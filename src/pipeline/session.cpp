@@ -38,7 +38,7 @@ TransformSession::TransformSession(Program program, SessionOptions opts)
     layout_ = std::make_unique<IvLayout>(*program_);
   }
   ScopedSpan span("session.analyze", "session");
-  deps_ = analyze_dependences(*layout_, opts_.analyzer);
+  deps_ = analyze_dependences(*layout_, opts_.pad);
   if (span.active())
     span.arg("deps", static_cast<i64>(deps_.deps.size()));
 }
@@ -53,12 +53,12 @@ CandidateResult TransformSession::evaluate_impl(const IntMat& m) {
   CandidateResult r;
   try {
     if (opts_.exact) {
-      ExactCodegenResult res = generate_code_exact(*layout_, m, opts_.codegen);
+      ExactCodegenResult res = generate_code_exact(*layout_, m, opts_.pad);
       r.legal = true;
       r.program = opts_.simplify ? simplify_program(res.program)
                                  : std::move(res.program);
     } else {
-      CodegenResult res = generate_code(*layout_, deps_, m, opts_.codegen);
+      CodegenResult res = generate_code(*layout_, deps_, m, opts_.pad);
       r.legal = true;
       r.legality = std::move(res.legality);
       r.program = opts_.simplify ? simplify_program(res.program)

@@ -47,8 +47,9 @@ struct SearchResult;
 struct SearchSpace;
 
 struct SessionOptions {
-  AnalyzerOptions analyzer;
-  CodegenOptions codegen;
+  /// Padding of instance vectors, shared by dependence analysis, code
+  /// generation, exact legality and the cost model.
+  PadMode pad = PadMode::kDiagonal;
   /// Use the exact ILP legality pipeline instead of direction-vector
   /// hulls (accepts some matrices the hull test rejects; slower).
   bool exact = false;

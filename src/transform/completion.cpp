@@ -48,9 +48,7 @@ DepEntry row_dot(const IntVec& row, const DepVector& d) {
 
 CompletionResult complete_transformation(
     const IvLayout& src, const DependenceSet& deps,
-    const std::vector<IntVec>& partial_loop_rows,
-    const CompletionOptions& opts) {
-  (void)opts;
+    const std::vector<IntVec>& partial_loop_rows) {
   ScopedSpan span("transform.complete", "transform");
   if (span.active()) {
     span.arg("partial_rows", static_cast<i64>(partial_loop_rows.size()));

@@ -17,10 +17,6 @@
 
 namespace inlt {
 
-struct CompletionOptions {
-  PadMode pad = PadMode::kDiagonal;
-};
-
 struct CompletionResult {
   IntMat matrix;       ///< the completed transformation (legal)
   AstRecovery recovery;
@@ -35,7 +31,6 @@ struct CompletionResult {
 /// syntactic-order constraints are cyclic).
 CompletionResult complete_transformation(
     const IvLayout& src, const DependenceSet& deps,
-    const std::vector<IntVec>& partial_loop_rows,
-    const CompletionOptions& opts = {});
+    const std::vector<IntVec>& partial_loop_rows);
 
 }  // namespace inlt

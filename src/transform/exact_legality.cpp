@@ -20,13 +20,6 @@ LinExpr scaled_add(const ConstraintSystem& cs, const LinExpr& acc,
   return r;
 }
 
-LinExpr negate(const ConstraintSystem& cs, const LinExpr& e) {
-  LinExpr r = cs.zero_expr();
-  for (int i = 0; i < cs.num_vars(); ++i) r.coef[i] = checked_neg(e.coef[i]);
-  r.constant = checked_neg(e.constant);
-  return r;
-}
-
 void add_violation(ExactLegalityResult& out, const PairSystem& ps,
                    const std::string& message) {
   Diagnostic d;
@@ -78,7 +71,7 @@ ExactLegalityResult check_legality_exact(const IvLayout& src,
     for (size_t t = 0; t < p.size(); ++t) {
       ConstraintSystem q = cs;
       for (size_t k = 0; k < t; ++k) q.add_eq(p[k]);
-      LinExpr le = negate(q, p[t]);
+      LinExpr le = lin_negate(p[t]);
       le.constant = checked_sub(le.constant, 1);  // -P_t - 1 >= 0
       q.add_ge(le);
       if (integer_feasible(q)) {
@@ -102,7 +95,7 @@ ExactLegalityResult check_legality_exact(const IvLayout& src,
       const auto& own = src.stmt_info(ps.src).loop_positions;
       DepVector proj;
       for (int q : own)
-        proj.push_back(classify_delta(zero_sys, delta[q], 8));
+        proj.push_back(classify_delta(zero_sys, delta[q]));
       out.unsatisfied_self[ps.src].push_back(std::move(proj));
     } else if (!(syntactically_before(tl, ps.src, ps.dst) &&
                  ps.src != ps.dst)) {

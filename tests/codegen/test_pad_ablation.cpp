@@ -24,8 +24,8 @@ TEST(PadAblation, ZeroPadSkewNeedsNoAugmentation) {
   // Diagonal padding (the paper's embedding): S1 collapses, one
   // augmented loop.
   {
-    DependenceSet deps = analyze_dependences(layout, {PadMode::kDiagonal, 8});
-    CodegenResult res = generate_code(layout, deps, m, {PadMode::kDiagonal});
+    DependenceSet deps = analyze_dependences(layout, PadMode::kDiagonal);
+    CodegenResult res = generate_code(layout, deps, m, PadMode::kDiagonal);
     EXPECT_EQ(res.plans[0].t_full.rows(), 2);  // [0] augmented to [0;1]
     EXPECT_FALSE(res.legality.unsatisfied.empty());
   }
@@ -33,8 +33,8 @@ TEST(PadAblation, ZeroPadSkewNeedsNoAugmentation) {
   // Zero padding: S1's transformed time is I itself — full rank, no
   // unsatisfied self-dependences, no extra loop.
   {
-    DependenceSet deps = analyze_dependences(layout, {PadMode::kZero, 8});
-    CodegenResult res = generate_code(layout, deps, m, {PadMode::kZero});
+    DependenceSet deps = analyze_dependences(layout, PadMode::kZero);
+    CodegenResult res = generate_code(layout, deps, m, PadMode::kZero);
     EXPECT_EQ(res.plans[0].t_full.rows(), 1);
     EXPECT_TRUE(res.legality.unsatisfied.empty());
     for (i64 n : {1, 2, 5, 9}) {
@@ -55,9 +55,9 @@ TEST(PadAblation, BothEmbeddingsVerifyOnCholeskyCompletionInput) {
   Program p = gallery::cholesky();
   IvLayout layout(p);
   for (PadMode pad : {PadMode::kDiagonal, PadMode::kZero}) {
-    DependenceSet deps = analyze_dependences(layout, {pad, 8});
+    DependenceSet deps = analyze_dependences(layout, pad);
     CodegenResult res =
-        generate_code(layout, deps, IntMat::identity(7), {pad});
+        generate_code(layout, deps, IntMat::identity(7), pad);
     VerifyResult v = verify_equivalence(p, res.program, {{"N", 5}});
     EXPECT_TRUE(v.equivalent)
         << (pad == PadMode::kZero ? "zero" : "diagonal") << ": "
@@ -72,8 +72,8 @@ TEST(PadAblation, EmbeddingChangesLegalityVerdicts) {
   // the embedding is a real design decision, as §2 hints.
   Program p = gallery::augmentation_example();
   IvLayout layout(p);
-  DependenceSet diag = analyze_dependences(layout, {PadMode::kDiagonal, 8});
-  DependenceSet zero = analyze_dependences(layout, {PadMode::kZero, 8});
+  DependenceSet diag = analyze_dependences(layout, PadMode::kDiagonal);
+  DependenceSet zero = analyze_dependences(layout, PadMode::kZero);
   // The S2 -> S1 flow has Δ_J = -1 under diagonal padding and an
   // unbounded negative direction under zero padding.
   auto find = [](const DependenceSet& ds) {

@@ -4,6 +4,9 @@
 // (precision of exact distances).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "common/brute_force.hpp"
 #include "dependence/analyzer.hpp"
 #include "ir/gallery.hpp"
@@ -77,6 +80,40 @@ TEST(BruteForce, AugmentationExample) {
 
 TEST(BruteForce, PerfectNest) {
   check_soundness_and_precision(gallery::fig3_perfect_nest(), 6);
+}
+
+TEST(BruteForce, FarDistancesAreExactAndWitnessed) {
+  // Distances beyond ±8 (tools/testdata/far_distance.loop): the
+  // analyzer states 10 and [10,12], and every finite end of every
+  // entry is realized by an observed dependence.
+  std::ifstream in(std::string(INLT_TESTDATA_DIR) + "/far_distance.loop");
+  std::stringstream text;
+  text << in.rdbuf();
+  Program p = parse_program(text.str());
+  const i64 n = 26;  // the smallest N that realizes S2's distance 12
+  check_soundness_and_precision(p, n);
+
+  IvLayout layout(p);
+  DependenceSet ds = analyze_dependences(layout);
+  ASSERT_EQ(ds.deps.size(), 2u);
+  EXPECT_EQ(dep_to_string(ds.deps[0].vector), "[0, 0, 10, 10, 10]");
+  EXPECT_EQ(dep_to_string(ds.deps[1].vector), "[0, 0, [10,12], 0, [10,12]]");
+  auto observed = observe_dependences(layout, {{"N", n}});
+  for (const Dependence& d : ds.deps)
+    for (size_t q = 0; q < d.vector.size(); ++q) {
+      const DepEntry& e = d.vector[q];
+      for (bool hi : {false, true}) {
+        if (hi ? e.hi_unbounded() : e.lo_unbounded()) continue;
+        i64 end = hi ? e.hi() : e.lo();
+        bool witnessed = false;
+        for (const auto& ob : observed)
+          if (ob.src == d.src && ob.dst == d.dst && ob.kind == d.kind &&
+              ob.array == d.array && ob.diff[q] == end)
+            witnessed = true;
+        EXPECT_TRUE(witnessed) << d.src << " -> " << d.dst << " position "
+                               << q << " end " << end;
+      }
+    }
 }
 
 TEST(BruteForce, PaperDistance1IsWitnessed) {

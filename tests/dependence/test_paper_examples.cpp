@@ -89,8 +89,8 @@ TEST(DependencePaper, ZeroPadAblationChangesVectors) {
   // DESIGN.md ablation: padding mode affects padded rows only.
   Program p = gallery::simplified_cholesky();
   IvLayout layout(p);
-  DependenceSet diag = analyze_dependences(layout, {PadMode::kDiagonal, 8});
-  DependenceSet zero = analyze_dependences(layout, {PadMode::kZero, 8});
+  DependenceSet diag = analyze_dependences(layout, PadMode::kDiagonal);
+  DependenceSet zero = analyze_dependences(layout, PadMode::kZero);
   ASSERT_FALSE(diag.deps.empty());
   ASSERT_FALSE(zero.deps.empty());
   // The S1->S2 flow dependence differs in the padded J row: diagonal

@@ -543,8 +543,7 @@ int main(int argc, char** argv) {
 
   try {
     SessionOptions sopts;
-    sopts.analyzer = {opts.pad, 8};
-    sopts.codegen = {opts.pad};
+    sopts.pad = opts.pad;
     sopts.exact = opts.exact;
     sopts.simplify = !opts.raw;
     sopts.threads = opts.threads;
@@ -894,7 +893,7 @@ int main(int argc, char** argv) {
         IvLayout tlayout(prog);
         DependenceSet tdeps;
         try {
-          tdeps = analyze_dependences(tlayout, sopts.analyzer);
+          tdeps = analyze_dependences(tlayout, sopts.pad);
         } catch (const InvalidProgramError& e) {
           cli_error(
               std::string("cannot analyze the program for tiling: ") +
