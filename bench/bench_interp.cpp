@@ -7,9 +7,11 @@
 // Each measurement times `interpret()` end to end (the VM side
 // includes bytecode compilation; the native side runs after one
 // untimed warmup, so its timed runs hit the in-process kernel cache —
-// exactly what a verification sweep over many seeds sees); a cell's
-// throughput comes from its fastest timed run, which host load moves
-// least. Emits
+// exactly what a verification sweep over many seeds sees). Within a
+// (kernel, N) cell the engines run interleaved, in turns of a few
+// milliseconds each, so a change of host state hits all of them alike;
+// each engine's throughput comes from its fastest timed run, which
+// host load moves least. Emits
 // BENCH_interp.json (override with --out=PATH) and, when a C compiler
 // is available, BENCH_native.json (--native-out=PATH) with the
 // machine-independent facts the regression gate wants: native results
@@ -84,30 +86,50 @@ struct EngineRun {
   }
 };
 
-// Time interpret() on copies of `proto` until the budget is spent
-// (min 3 timed runs, one untimed warmup — for the native engine the
-// warmup also absorbs the one-time C compile). Memory copies stay
-// outside the timer.
-EngineRun measure(const Program& p, const std::map<std::string, i64>& params,
-                  const Memory& proto, ExecEngine engine, double budget_s) {
-  InterpOptions opts;
-  opts.engine = engine;
-  EngineRun er;
-  {
+// Time interpret() for every engine of one cell on copies of `proto`,
+// interleaved in rounds (walker, VM, native, walker, ...) so that all
+// engines see the same host state. In each round every engine runs
+// for one time slice, at least once, so a fast engine still gets many
+// runs to take its minimum from. Rounds go on until the cell has spent
+// `budget_s` per engine (min 3 timed runs each, one untimed warmup
+// each first — for the native engine the warmup also absorbs the
+// one-time C compile). Memory copies stay outside the timer.
+std::vector<EngineRun> measure(const Program& p,
+                               const std::map<std::string, i64>& params,
+                               const Memory& proto,
+                               const std::vector<ExecEngine>& engines,
+                               double budget_s) {
+  constexpr int kRounds = 16;
+  const double slice_s = budget_s / kRounds;
+  std::vector<InterpOptions> opts(engines.size());
+  std::vector<EngineRun> ers(engines.size());
+  for (size_t e = 0; e < engines.size(); ++e) {
+    opts[e].engine = engines[e];
     Memory warm = proto;
-    er.instances = interpret(p, params, warm, opts).instances;
+    ers[e].instances = interpret(p, params, warm, opts[e]).instances;
   }
-  for (;;) {
-    Memory mem = proto;
-    double t0 = now_s();
-    interpret(p, params, mem, opts);
-    double dt = now_s() - t0;
-    er.seconds += dt;
-    er.best = er.runs == 0 ? dt : std::min(er.best, dt);
-    er.runs += 1;
-    if (er.seconds >= budget_s && er.runs >= 3) break;
+  auto done = [&] {
+    for (const EngineRun& er : ers)
+      if (er.seconds < budget_s || er.runs < 3) return false;
+    return true;
+  };
+  while (!done()) {
+    for (size_t e = 0; e < engines.size(); ++e) {
+      EngineRun& er = ers[e];
+      double in_slice = 0;
+      do {
+        Memory mem = proto;
+        double t0 = now_s();
+        interpret(p, params, mem, opts[e]);
+        double dt = now_s() - t0;
+        er.seconds += dt;
+        er.best = er.runs == 0 ? dt : std::min(er.best, dt);
+        er.runs += 1;
+        in_slice += dt;
+      } while (in_slice < slice_s);
+    }
   }
-  return er;
+  return ers;
 }
 
 bool bit_identical(const Memory& a, const Memory& b) {
@@ -190,9 +212,13 @@ int main(int argc, char** argv) {
       declare_arrays(p, params, proto);
       fill_spd(proto, 3);
 
-      EngineRun walker =
-          measure(p, params, proto, ExecEngine::kAstWalker, budget_s);
-      EngineRun vm = measure(p, params, proto, ExecEngine::kVm, budget_s);
+      std::vector<ExecEngine> engines = {ExecEngine::kAstWalker,
+                                         ExecEngine::kVm};
+      if (have_native) engines.push_back(ExecEngine::kNative);
+      std::vector<EngineRun> runs =
+          measure(p, params, proto, engines, budget_s);
+      const EngineRun& walker = runs[0];
+      const EngineRun& vm = runs[1];
       double speedup = walker.ips() > 0 ? vm.ips() / walker.ips() : 0;
       largest_speedup = speedup;  // sizes ascend; last one wins
 
@@ -200,7 +226,7 @@ int main(int argc, char** argv) {
       double native_vs_vm = 0;
       bool identical = true;
       if (have_native) {
-        native = measure(p, params, proto, ExecEngine::kNative, budget_s);
+        native = runs[2];
         native_vs_vm = vm.ips() > 0 ? native.ips() / vm.ips() : 0;
         largest_native_vs_vm = native_vs_vm;
         Memory vm_mem = proto;

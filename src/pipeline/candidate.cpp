@@ -2,59 +2,13 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 namespace inlt {
 
-const char* stage_kind_name(StageKind k) {
-  switch (k) {
-    case StageKind::kLegality: return "legality";
-    case StageKind::kComplete: return "complete";
-    case StageKind::kCost:     return "cost";
-    case StageKind::kCodegen:  return "codegen";
-    case StageKind::kTile:     return "tile";
-    case StageKind::kVerify:   return "verify";
-  }
-  return "?";
-}
-
-void CandidatePipeline::add(StageKind kind, bool deferred, StageFn run) {
-  stages_.push_back(Stage{kind, deferred, std::move(run)});
-}
-
-bool CandidatePipeline::has(StageKind kind) const {
-  for (const Stage& s : stages_)
-    if (s.kind == kind) return true;
-  return false;
-}
-
-bool CandidatePipeline::has_deferred() const {
-  for (const Stage& s : stages_)
-    if (s.deferred) return true;
-  return false;
-}
-
-std::string CandidatePipeline::describe() const {
-  std::ostringstream os;
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    if (i) os << " -> ";
-    os << stage_kind_name(stages_[i].kind);
-  }
-  return os.str();
-}
-
-void CandidatePipeline::run(Candidate& c, bool deferred) const {
-  for (const Stage& s : stages_) {
-    if (s.deferred != deferred) continue;
-    if (c.rejected) return;
-    s.fn(c);
-  }
-}
-
 namespace {
 
-// Missing estimates (cost stage absent, or the estimate failed) sort
+// Missing estimates (no cost model, or the estimate failed) sort
 // last; exact cost ties break by ascending candidate index, which
 // settle()'s in-order contract makes deterministic.
 double hit_lines(const SearchHit& h) {

@@ -1,24 +1,8 @@
-// The candidate pipeline — one record, one stage list, one
-// accumulator.
+// The candidate record and the accumulator that merges decided
+// candidates into a SearchResult.
 //
-// search() used to interleave three concerns in one recursive walk:
-// deciding candidates (legality / codegen / verification, with the
-// work differing by mode), accounting for them (stats, rejection
-// provenance, hit collection — assembled in three separate places) and
-// scheduling them (inline at the leaf vs. deferred to worker threads).
-// This header separates them:
-//
-//  * `Candidate` is the first-class record a candidate accumulates as
-//    it moves through the stages: index, matrix, CandidateResult,
-//    optional cost estimate, plus inter-stage scratch (the recovered
-//    AST).
-//  * `CandidatePipeline` is an ordered list of named stages
-//    (Legality -> Complete -> Cost -> Codegen -> Verify). Full mode,
-//    the legality-only filter and rank mode are *configurations* of
-//    this list — which stages are present and what each one runs —
-//    not separate code paths. Stages marked deferred run after the
-//    sequential legality walk, fanned across worker threads; a stage
-//    that rejects a candidate stops its remaining stages.
+//  * `Candidate` is what search() knows about one candidate: index,
+//    matrix, CandidateResult, optional cost estimate and tile plan.
 //  * `CandidateAccumulator` is the single merge point for every
 //    decided candidate: it owns the SearchResult, the rejection
 //    provenance (pruned subtrees, pruned leaves, evaluated-illegal
@@ -27,9 +11,7 @@
 //    deterministic at any thread count.
 #pragma once
 
-#include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "model/cost.hpp"
@@ -37,75 +19,21 @@
 
 namespace inlt {
 
-/// The named stages a candidate can pass through, in pipeline order.
-enum class StageKind {
-  kLegality,  ///< legality verdict (engine, or exact ILP)
-  kComplete,  ///< recover the transformed AST skeleton (rank/cost)
-  kCost,      ///< static cache-locality estimate (model/cost.hpp)
-  kCodegen,   ///< full code generation + simplify (evaluate_impl)
-  kTile,      ///< tile the generated program (tile/plan.hpp)
-  kVerify,    ///< semantic verification against the source program
-};
-
-const char* stage_kind_name(StageKind k);
-
-/// One candidate moving through the pipeline.
+/// One candidate of a search.
 struct Candidate {
   i64 index = -1;  ///< position in the depth-first enumeration
   IntMat matrix;
   CandidateResult result;
-  /// Cost-model estimate (kCost stage; unset if the stage is absent
-  /// or the estimate failed).
+  /// Cost-model estimate (unset without SearchOptions::cost, or when
+  /// the estimate failed).
   std::optional<CostEstimate> cost;
-  /// Inter-stage scratch: the recovered AST (kComplete stage) the
-  /// cost stage consumes. Dropped when the candidate settles.
-  std::optional<AstRecovery> recovery;
-  /// Tile plan for the generated program (kTile stage; unset if the
-  /// stage is absent or the candidate generated no code).
+  /// Tile plan for the generated program (unset without
+  /// SearchOptions::tile, or when the candidate generated no code).
   std::optional<TilePlan> tile;
-  /// Set by a stage that definitively rejects the candidate; the
-  /// remaining stages are skipped. Distinct from `result.legal`
-  /// because exact-mode codegen decides legality *inside* its stage —
-  /// `legal == false` before that stage ran means "undecided".
-  bool rejected = false;
-};
-
-/// An ordered list of named stages over Candidate. Leaf stages run
-/// inline during the sequential legality walk (they may read the
-/// stateful incremental engine); deferred stages run after the walk,
-/// per candidate, possibly on worker threads (they must be
-/// thread-safe and independent per candidate).
-class CandidatePipeline {
- public:
-  using StageFn = std::function<void(Candidate&)>;
-
-  void add(StageKind kind, bool deferred, StageFn run);
-
-  /// Run the leaf (non-deferred) stages in order; stops early when a
-  /// stage rejects the candidate.
-  void run_leaf(Candidate& c) const { run(c, /*deferred=*/false); }
-  /// Run the deferred stages in order; stops early on rejection.
-  void run_deferred(Candidate& c) const { run(c, /*deferred=*/true); }
-
-  bool has(StageKind kind) const;
-  bool has_deferred() const;
-  /// "legality -> complete -> cost" — the configured stage list.
-  std::string describe() const;
-
- private:
-  struct Stage {
-    StageKind kind;
-    bool deferred;
-    StageFn fn;
-  };
-  void run(Candidate& c, bool deferred) const;
-
-  std::vector<Stage> stages_;
 };
 
 /// The single merge point for decided candidates: owns the
-/// SearchResult and all bookkeeping that used to be assembled ad hoc
-/// at three separate sites in search(). Not thread-safe — the walk
+/// SearchResult and all its bookkeeping. Not thread-safe — the walk
 /// and the post-walk merge both run on the calling thread, in
 /// enumeration order, which is what makes results deterministic.
 class CandidateAccumulator {
@@ -125,10 +53,10 @@ class CandidateAccumulator {
   void prune_subtree(int dep, int row, i64 leaves);
   /// A viable prefix with an illegal completion died at the leaf.
   void prune_leaf(int dep);
-  /// A candidate reached the leaf and will be decided by the pipeline.
+  /// A candidate reached the leaf and will be decided and settled.
   void note_evaluated() { ++out_.stats.evaluated; }
 
-  /// Merge one pipeline-decided candidate: legal candidates feed the
+  /// Merge one decided candidate: legal candidates feed the
   /// hit list (or the bounded best-K heap), the sink and the
   /// verification counters; rejected ones feed illegal_evaluated and
   /// the diagnostic-localized rejection provenance. Must be called in

@@ -110,7 +110,7 @@ void PermutationSkewGenerator::pop() {
 }
 
 std::vector<IntMat> materialize_candidates(const IvLayout& layout,
-                                           CandidateGenerator& gen) {
+                                           PermutationSkewGenerator& gen) {
   std::vector<IntMat> out;
   IntMat m = IntMat::identity(layout.size());
   std::vector<int> slots = layout.all_loop_positions();
@@ -133,7 +133,7 @@ std::vector<IntMat> materialize_candidates(const IvLayout& layout,
   return out;
 }
 
-SearchResult TransformSession::search(CandidateGenerator& gen,
+SearchResult TransformSession::search(PermutationSkewGenerator& gen,
                                       const SearchOptions& sopts) {
   const int nslots = gen.num_slots();
   INLT_CHECK_MSG(nslots == static_cast<int>(layout_->all_loop_positions().size()),
@@ -147,14 +147,18 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   const bool prune = !opts_.exact;
   const bool full = sopts.mode == SearchMode::kFull;
   const bool cost = sopts.cost || sopts.top_k > 0;
-  if (prune && !engine_)
-    engine_ = std::make_unique<IncrementalLegality>(*layout_, deps_);
+  // Survivors need work after the leaf verdict: code generation in
+  // full mode, completion + cost when the model runs.
+  const bool deferred = full || cost;
+  std::optional<IncrementalLegality> engine;
+  if (prune) engine.emplace(*layout_, deps_);
 
   ScopedSpan run_span("search.run", "search");
   const i64 t0 = now_ns();
 
-  // Exact subtree sizes per depth (prefix-independent by the
-  // generator contract) — what index arithmetic under pruning uses.
+  // Exact subtree sizes per depth (prefix-independent, see
+  // PermutationSkewGenerator) — what index arithmetic under pruning
+  // uses.
   std::vector<i64> leaves_below(nslots + 1, 1);
   for (int d = nslots; d-- > 0;)
     leaves_below[d] = checked_mul(leaves_below[d + 1], gen.num_options(d));
@@ -169,131 +173,80 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   CandidateAccumulator acc(deps_.deps.size(), nslots, pos_to_slot, sopts);
   acc.stats().candidates_total = leaves_below[0];
 
-  // -- pipeline configuration ---------------------------------------
-  // Full mode, the legality-only filter and rank mode are the same
-  // stage list with different members: which stages exist and what
-  // each runs is decided here, once, instead of being interleaved
-  // with the walk.
-  std::optional<VerifyReference> ref;  // outlives the kVerify stage
-  CandidatePipeline pipe;
-  if (prune) {
-    // The engine's full-depth verdict IS the hull legality test
-    // (test_incremental proves the equivalence); in full mode the
-    // codegen stage rebuilds the result from scratch anyway, so the
-    // leaf verdict records only the flag.
-    if (full) {
-      pipe.add(StageKind::kLegality, /*deferred=*/false,
-               [](Candidate& c) { c.result.legal = true; });
-    } else {
-      pipe.add(StageKind::kLegality, /*deferred=*/false, [this](Candidate& c) {
-        c.result.legal = true;
-        c.result.legality.unsatisfied = engine_->current_unsatisfied();
-      });
-    }
-  } else if (!full) {
-    // Exact filter mode: decide legality by the ILP test at the leaf,
-    // skipping plan/build/simplify.
-    pipe.add(StageKind::kLegality, /*deferred=*/false, [this](Candidate& c) {
-      ScopedProjectionCache install(&cache_);
-      AstRecovery rec = recover_ast(*layout_, c.matrix);
-      c.result.legal =
-          check_legality_exact(*layout_, c.matrix, rec, opts_.pad)
-              .legal();
-      c.rejected = !c.result.legal;
-    });
-  }
-  // (Exact full mode has no standalone legality stage: the ILP
-  // verdict is produced inside codegen by generate_code_exact.)
-  if (cost) {
-    ModelOptions mopts = sopts.model;
-    mopts.pad = opts_.pad;
-    mopts.exec_threads = sopts.exec_threads;
-    pipe.add(StageKind::kComplete, /*deferred=*/true, [this](Candidate& c) {
+  ModelOptions mopts = sopts.model;
+  mopts.pad = opts_.pad;
+  mopts.exec_threads = sopts.exec_threads;
+  std::optional<VerifyReference> ref;  // built after the walk
+
+  // Finish one survivor of the walk: complete -> cost -> codegen ->
+  // tile -> verify, each step only when its option asks for it. Runs
+  // on worker threads, one candidate per call, touching only `c` and
+  // the session's thread-safe state.
+  auto finish = [&](Candidate& c) {
+    std::optional<AstRecovery> recovery;
+    if (cost) {
       try {
-        c.recovery.emplace(recover_ast(*layout_, c.matrix));
+        recovery.emplace(recover_ast(*layout_, c.matrix));
       } catch (const Error& e) {
         // Engine-legal candidates are block-structured by the
-        // generator contract; a recovery failure is a structure error
-        // and rejects the candidate like evaluate() would.
+        // generator's construction; a recovery failure is a structure
+        // error and rejects the candidate like evaluate() would.
         c.result.legal = false;
-        c.rejected = true;
         c.result.error = e.what();
+        return;
       }
-    });
-    pipe.add(StageKind::kCost, /*deferred=*/true, [this, mopts](Candidate& c) {
-      if (!c.recovery) return;
       try {
         c.cost.emplace(
-            estimate_cost(*layout_, deps_, c.matrix, *c.recovery, mopts));
+            estimate_cost(*layout_, deps_, c.matrix, *recovery, mopts));
       } catch (const Error&) {
         // Unrankable, not illegal: the hit survives with no estimate
         // and sorts after every scored one.
       }
-    });
-  }
-  if (full) {
-    pipe.add(StageKind::kCodegen, /*deferred=*/true, [this](Candidate& c) {
-      c.result = evaluate_impl(c.matrix);
-      c.rejected = !c.result.legal;
-    });
+    }
+    if (!full) return;
+    c.result = evaluate_impl(c.matrix);
+    if (!c.result.program) return;
     if (sopts.tile) {
-      const TileOptions topts = sopts.tile_opts;
-      ModelOptions tmopts = sopts.model;
-      pipe.add(StageKind::kTile, /*deferred=*/true,
-               [topts, tmopts](Candidate& c) {
-                 if (!(c.result.legal && c.result.program)) return;
-                 try {
-                   TiledProgram tp =
-                       apply_tile(*c.result.program, topts, tmopts);
-                   if (tp.program) c.result.program = std::move(*tp.program);
-                   c.tile.emplace(std::move(tp.plan));
-                 } catch (const Error& e) {
-                   // Per-candidate structural mismatch (e.g. a band
-                   // index valid for one candidate's shape but not
-                   // another's): keep the untiled program, record why.
-                   TilePlan failed;
-                   failed.note = e.what();
-                   c.tile.emplace(std::move(failed));
-                 }
-               });
+      try {
+        TiledProgram tp =
+            apply_tile(*c.result.program, sopts.tile_opts, sopts.model);
+        if (tp.program) c.result.program = std::move(*tp.program);
+        c.tile.emplace(std::move(tp.plan));
+      } catch (const Error& e) {
+        // Per-candidate structural mismatch (e.g. a band index valid
+        // for one candidate's shape but not another's): keep the
+        // untiled program, record why.
+        TilePlan failed;
+        failed.note = e.what();
+        c.tile.emplace(std::move(failed));
+      }
     }
-    if (!sopts.verify_params.empty()) {
-      const int exec_threads = sopts.exec_threads;
-      pipe.add(StageKind::kVerify, /*deferred=*/true,
-               [this, &ref, exec_threads](Candidate& c) {
-                 if (!(c.result.legal && ref && c.result.program)) return;
-                 // Candidate doall partition for the parallel engine;
-                 // any analysis failure just verifies serially (the
-                 // verdict is thread-count independent either way).
-                 std::vector<std::string> partition;
-                 if (exec_threads > 1) {
-                   try {
-                     AstRecovery rec = c.recovery
-                                           ? std::move(*c.recovery)
-                                           : recover_ast(*layout_, c.matrix);
-                     partition = analyze_target_parallelism(*layout_, deps_,
-                                                            c.matrix, rec)
-                                     .partition;
-                     c.recovery.emplace(std::move(rec));
-                     // A tiled hit's program loops over tiles: remap
-                     // partitioned band variables to their tile loops.
-                     if (c.tile && c.tile->applied)
-                       partition = tiled_partition(partition, c.tile->spec,
-                                                   c.tile->tile_vars);
-                   } catch (const Error&) {
-                     partition.clear();
-                   }
-                 }
-                 c.result.verify = ref->check(*c.result.program, partition);
-               });
+    if (!ref) return;
+    // Candidate doall partition for the parallel engine; any analysis
+    // failure just verifies serially (the verdict is thread-count
+    // independent either way).
+    std::vector<std::string> partition;
+    if (sopts.exec_threads > 1) {
+      try {
+        if (!recovery) recovery.emplace(recover_ast(*layout_, c.matrix));
+        partition =
+            analyze_target_parallelism(*layout_, deps_, c.matrix, *recovery)
+                .partition;
+        // A tiled hit's program loops over tiles: remap partitioned
+        // band variables to their tile loops.
+        if (c.tile && c.tile->applied)
+          partition =
+              tiled_partition(partition, c.tile->spec, c.tile->tile_vars);
+      } catch (const Error&) {
+        partition.clear();
+      }
     }
-  }
-  const bool deferred = pipe.has_deferred();
-  if (run_span.active()) run_span.arg("pipeline", pipe.describe());
+    c.result.verify = ref->check(*c.result.program, partition);
+  };
 
   // Survivors of the legality walk, in enumeration order, finished
-  // after the walk (the IncrementalLegality engine is stateful, so the
-  // walk itself stays sequential; the deferred stages are not).
+  // after the walk (the engine is stateful, so the walk itself stays
+  // sequential; finishing does not).
   std::vector<Candidate> pending;
 
   i64 index = 0;
@@ -311,73 +264,82 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
     p.eta_s = p.rate > 0 ? static_cast<double>(p.total - done) / p.rate : 0;
     sopts.progress(p);
   };
+  // Move past n decided candidates.
+  auto advance = [&](i64 n) {
+    index += n;
+    if (index >= next_report) {
+      emit_progress(index);
+      next_report = index + sopts.progress_interval;
+    }
+  };
 
   std::function<void(int)> rec = [&](int depth) {
     if (depth == nslots) {
-      if (prune && !engine_->current_legal()) {
+      if (prune && !engine->current_legal()) {
         // Viable prefix, illegal completion: the zero projection of
         // leaf_killer() is what rejected it.
-        acc.prune_leaf(engine_->leaf_killer());
-        ++index;
-        if (index >= next_report) {
-          emit_progress(index);
-          next_report = index + sopts.progress_interval;
-        }
+        acc.prune_leaf(engine->leaf_killer());
+        advance(1);
         return;
       }
       acc.note_evaluated();
       Candidate c;
       c.index = index;
       c.matrix = m;
-      pipe.run_leaf(c);
-      if (deferred && !c.rejected) {
-        // Deferred stages pending: batch the survivor for the
-        // post-walk worker threads.
+      bool survives = true;
+      if (prune) {
+        // The engine's full-depth verdict IS the hull legality test
+        // (test_incremental proves the equivalence); full mode
+        // rebuilds the result from scratch in finish(), so only the
+        // legality-only filter records the unsatisfied set.
+        c.result.legal = true;
+        if (!full)
+          c.result.legality.unsatisfied = engine->current_unsatisfied();
+      } else if (!full) {
+        // Exact filter mode: decide legality by the ILP test at the
+        // leaf, skipping plan/build/simplify. (Exact full mode gets its
+        // ILP verdict inside codegen, from generate_code_exact.)
+        ScopedProjectionCache install(&cache_);
+        AstRecovery recovery = recover_ast(*layout_, c.matrix);
+        c.result.legal =
+            check_legality_exact(*layout_, c.matrix, recovery, opts_.pad)
+                .legal();
+        survives = c.result.legal;
+      }
+      if (deferred && survives)
         pending.push_back(std::move(c));
-      } else {
+      else
         acc.settle(std::move(c));
-      }
-      ++index;
-      if (index >= next_report) {
-        emit_progress(index);
-        next_report = index + sopts.progress_interval;
-      }
+      advance(1);
       return;
     }
     for (i64 k = 0; k < gen.num_options(depth); ++k) {
       IntVec r = gen.row(k);
       for (int j = 0; j < layout_->size(); ++j) m(slots[depth], j) = r[j];
       gen.push(k);
-      bool viable = true;
-      if (prune) viable = engine_->push_row(r);
-      if (!viable) {
+      if (!prune || engine->push_row(r)) {
+        rec(depth + 1);
+      } else {
         i64 n = leaves_below[depth + 1];
-        acc.prune_subtree(engine_->killer(), engine_->killer_row(), n);
+        acc.prune_subtree(engine->killer(), engine->killer_row(), n);
         if (Tracer::enabled()) {
           ScopedSpan ps("search.prune", "search");
           ps.arg("depth", static_cast<i64>(depth));
-          ps.arg("dep", static_cast<i64>(engine_->killer()));
+          ps.arg("dep", static_cast<i64>(engine->killer()));
           ps.arg("pruned", n);
         }
-        index += n;
-        if (index >= next_report) {
-          emit_progress(index);
-          next_report = index + sopts.progress_interval;
-        }
-      } else {
-        rec(depth + 1);
+        advance(n);
       }
-      if (prune) engine_->pop_row();
+      if (prune) engine->pop_row();
       gen.pop();
     }
   };
   rec(0);
 
-  // Deferred stages (codegen + simplify + optional verification in
-  // full mode, completion + cost in rank mode) for every survivor,
-  // fanned over the session's worker threads. Results are merged back
-  // in enumeration order, so hits, stats and rejection provenance are
-  // bit-identical to the sequential path regardless of thread count.
+  // Finish every survivor, fanned over the session's worker threads.
+  // Results are merged back in enumeration order, so hits, stats and
+  // rejection provenance are bit-identical to the sequential path
+  // regardless of thread count.
   if (!pending.empty()) {
     ScopedSpan eval_span("search.evaluate", "search");
     if (!sopts.verify_params.empty()) {
@@ -386,13 +348,13 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
       if (sopts.exec_threads > 1)
         plan.source_partition =
             source_parallel_schedule(*layout_, deps_).partition;
-      ref.emplace(*program_, sopts.verify_params, sopts.verify_fill,
+      ref.emplace(*program_, sopts.verify_params, FillKind::kSpd,
                   sopts.verify_seed, sopts.verify_engine, plan);
     }
     auto eval_one = [&](size_t i) {
       Candidate& c = pending[i];
       ScopedSpan cs("search.candidate", "search");
-      pipe.run_deferred(c);
+      finish(c);
       if (cs.active()) {
         cs.arg("index", c.index);
         cs.arg("legal", c.result.legal);
@@ -438,8 +400,8 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
 }
 
 SearchResult TransformSession::search(
-    CandidateGenerator& gen, const std::function<void(const SearchHit&)>& sink,
-    SearchMode mode) {
+    PermutationSkewGenerator& gen,
+    const std::function<void(const SearchHit&)>& sink, SearchMode mode) {
   SearchOptions sopts;
   sopts.mode = mode;
   sopts.sink = sink;

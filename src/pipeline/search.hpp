@@ -29,30 +29,6 @@
 
 namespace inlt {
 
-/// A candidate space enumerated one loop row at a time. Slot s is the
-/// s-th loop position of the layout (`all_loop_positions()` order,
-/// outermost first); edge rows are fixed to identity by the driver, so
-/// every generated candidate preserves the AST shape.
-///
-/// Contract: `num_options(depth)` must not depend on the pushed
-/// prefix — candidate indexing (and therefore pruning accounting)
-/// relies on subtree sizes being a function of depth alone.
-class CandidateGenerator {
- public:
-  virtual ~CandidateGenerator() = default;
-
-  /// Loop rows per candidate (== number of loop positions).
-  virtual int num_slots() const = 0;
-  /// Branching factor at a depth, prefix-independent.
-  virtual i64 num_options(int depth) const = 0;
-  /// Full-width row for option k at the current depth.
-  virtual IntVec row(i64 k) const = 0;
-  /// Commit option k and descend one level.
-  virtual void push(i64 k) = 0;
-  /// Undo the latest push.
-  virtual void pop() = 0;
-};
-
 /// Permutations of the nest's loops, each row optionally skewed
 /// against the previously placed loops: the row placing variable v at
 /// slot t is e_v + Σ c_s·e_{v_s} with c_s ∈ [-skew_bound, skew_bound]
@@ -63,16 +39,27 @@ struct SearchSpace {
   int skew_depth = 1;
 };
 
-class PermutationSkewGenerator : public CandidateGenerator {
+/// The search space enumerated one loop row at a time. Slot s is the
+/// s-th loop position of the layout (`all_loop_positions()` order,
+/// outermost first); edge rows are fixed to identity by the driver, so
+/// every generated candidate preserves the AST shape. The branching
+/// factor `num_options(depth)` does not depend on the pushed prefix,
+/// which is what lets search() number candidates under pruning.
+class PermutationSkewGenerator {
  public:
   explicit PermutationSkewGenerator(const IvLayout& layout,
                                     SearchSpace space = {});
 
-  int num_slots() const override;
-  i64 num_options(int depth) const override;
-  IntVec row(i64 k) const override;
-  void push(i64 k) override;
-  void pop() override;
+  /// Loop rows per candidate (== number of loop positions).
+  int num_slots() const;
+  /// Branching factor at a depth, prefix-independent.
+  i64 num_options(int depth) const;
+  /// Full-width row for option k at the current depth.
+  IntVec row(i64 k) const;
+  /// Commit option k and descend one level.
+  void push(i64 k);
+  /// Undo the latest push.
+  void pop();
 
  private:
   int skew_window(int depth) const;
@@ -197,11 +184,10 @@ struct SearchOptions {
   /// candidate's generated program against the source at these
   /// parameter bindings (exec/verify.hpp); the outcome lands in
   /// `CandidateResult::verify` and the `verified` / `verify_failed`
-  /// stats. Verification shares the deferred evaluation stage, so it
-  /// runs on the session's worker threads.
+  /// stats. Inputs are filled with FillKind::kSpd. Verification runs
+  /// with the rest of a survivor's work, on the session's worker
+  /// threads.
   std::map<std::string, i64> verify_params;
-  /// Input fill for verification runs.
-  FillKind verify_fill = FillKind::kSpd;
   /// Seed for verification inputs.
   unsigned verify_seed = 1;
   /// Execution engine for verification runs.
@@ -215,13 +201,13 @@ struct SearchOptions {
   /// the cost model's parallel-work term when `cost` is active.
   int exec_threads = 1;
   /// Run the static cost model (model/cost.hpp) on every legal
-  /// candidate: adds the Complete + Cost stages to the candidate
-  /// pipeline (deferred, on the session's worker threads) and fills
-  /// each hit's `cost`. Works in both modes; kLegalityOnly + cost is
-  /// "rank mode" — scores without generating code.
+  /// candidate: recover its AST and estimate its cost after the walk,
+  /// on the session's worker threads, and fill each hit's `cost`.
+  /// Works in both modes; kLegalityOnly + cost is "rank mode" —
+  /// scores without generating code.
   bool cost = false;
   /// Model knobs when `cost` is active. The pad mode is taken from
-  /// the session's codegen options, not from here.
+  /// SessionOptions::pad, not from here.
   ModelOptions model;
   /// Keep only the K best hits, ordered by ascending
   /// (cost.total_lines, index) — a bounded heap, so ranking a huge
@@ -247,6 +233,6 @@ struct SearchOptions {
 /// the reference list `SearchHit::index` points into. Restores the
 /// generator to depth 0.
 std::vector<IntMat> materialize_candidates(const IvLayout& layout,
-                                           CandidateGenerator& gen);
+                                           PermutationSkewGenerator& gen);
 
 }  // namespace inlt

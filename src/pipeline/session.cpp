@@ -6,7 +6,6 @@
 #include "codegen/simplify.hpp"
 #include "ir/parser.hpp"
 #include "support/trace.hpp"
-#include "transform/incremental.hpp"
 
 namespace inlt {
 
@@ -42,9 +41,6 @@ TransformSession::TransformSession(Program program, SessionOptions opts)
   if (span.active())
     span.arg("deps", static_cast<i64>(deps_.deps.size()));
 }
-
-// Out of line: IncrementalLegality is incomplete in the header.
-TransformSession::~TransformSession() = default;
 
 CandidateResult TransformSession::evaluate_impl(const IntMat& m) {
   Stats::global().add("session.evaluations");

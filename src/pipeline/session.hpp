@@ -39,8 +39,7 @@
 
 namespace inlt {
 
-class CandidateGenerator;
-class IncrementalLegality;
+class PermutationSkewGenerator;
 struct SearchHit;
 struct SearchOptions;
 struct SearchResult;
@@ -98,8 +97,8 @@ struct CandidateResult {
 
 /// Resolve a worker-thread request against hardware concurrency and
 /// the number of work items (the semantics of SessionOptions::threads).
-/// Shared by evaluate_all and the deferred evaluation stage of
-/// full-mode search().
+/// Shared by evaluate_all and the post-walk finishing of search()
+/// survivors.
 int resolve_threads(int requested, size_t work_items);
 
 class TransformSession {
@@ -110,7 +109,6 @@ class TransformSession {
                                       SessionOptions opts = {});
 
   explicit TransformSession(Program program, SessionOptions opts = {});
-  ~TransformSession();
 
   const Program& program() const { return *program_; }
   const IvLayout& layout() const { return *layout_; }
@@ -137,12 +135,10 @@ class TransformSession {
   /// enumeration order — see search.hpp). `sink`, when set, receives
   /// each legal candidate as it is found. In exact mode the hull
   /// engine cannot prune (the ILP test accepts more matrices), so
-  /// every candidate is evaluated.
-  ///
-  /// The engine's memo trie lives on the session: repeated searches —
-  /// and overlapping spaces — reuse each other's per-prefix work.
+  /// every candidate is evaluated. Each search builds its own engine,
+  /// so repeated searches of one space return identical results.
   /// Not safe to call concurrently on one session.
-  SearchResult search(CandidateGenerator& gen,
+  SearchResult search(PermutationSkewGenerator& gen,
                       const std::function<void(const SearchHit&)>& sink = {},
                       SearchMode mode = SearchMode::kFull);
   /// Convenience: permutation × bounded-skew space over this layout.
@@ -153,7 +149,8 @@ class TransformSession {
   /// Full-option search: mode + sink + periodic progress telemetry
   /// (see SearchOptions in search.hpp). The two-argument overloads
   /// above are shorthands for this one.
-  SearchResult search(CandidateGenerator& gen, const SearchOptions& sopts);
+  SearchResult search(PermutationSkewGenerator& gen,
+                      const SearchOptions& sopts);
   SearchResult search(const SearchSpace& space, const SearchOptions& sopts);
 
   /// All diagnostics reported by evaluations so far.
@@ -175,8 +172,6 @@ class TransformSession {
   std::unique_ptr<IvLayout> layout_;
   DependenceSet deps_;
   ProjectionCache cache_;
-  // Created lazily by the first search(); owns the prefix memo trie.
-  std::unique_ptr<IncrementalLegality> engine_;
   std::mutex diag_mu_;  // evaluate_all workers report concurrently
   DiagnosticEngine diags_;
 };

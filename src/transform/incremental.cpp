@@ -14,11 +14,6 @@ std::atomic<i64>& stat_pushes() {
   static std::atomic<i64>& c = Stats::global().counter("incremental.pushes");
   return c;
 }
-std::atomic<i64>& stat_memo_hits() {
-  static std::atomic<i64>& c =
-      Stats::global().counter("incremental.memo_hits");
-  return c;
-}
 std::atomic<i64>& stat_rows_evaluated() {
   static std::atomic<i64>& c =
       Stats::global().counter("incremental.rows_evaluated");
@@ -53,19 +48,8 @@ IncrementalLegality::IncrementalLegality(const IvLayout& layout,
         is_self_[d] || syntactically_before(layout_, dep.src, dep.dst);
     order_[d] = static_cast<int>(d);
   }
-  root_ = std::make_unique<Node>();
-  root_->states.assign(nd, kRun);
-  path_.push_back(root_.get());
-}
-
-bool IncrementalLegality::supports(const IntMat& m) const {
-  if (m.rows() != layout_.size() || m.cols() != layout_.size()) return false;
-  for (int p = 0; p < layout_.size(); ++p) {
-    if (layout_.positions()[p].kind != PositionKind::kEdge) continue;
-    for (int j = 0; j < m.cols(); ++j)
-      if (m(p, j) != (j == p ? 1 : 0)) return false;
-  }
-  return true;
+  frames_.resize(slots_.size() + 1);
+  frames_[0].states.assign(nd, kRun);
 }
 
 IncrementalLegality::State IncrementalLegality::step(State s,
@@ -87,135 +71,81 @@ bool IncrementalLegality::push_row(const IntVec& row) {
   INLT_CHECK_MSG(depth() < num_slots(), "push_row past the last slot");
   INLT_CHECK(row.size() == static_cast<size_t>(layout_.size()));
   stat_pushes().fetch_add(1, std::memory_order_relaxed);
-  Node* cur = path_.back();
-  auto it = cur->children.find(row);
-  if (it != cur->children.end()) {
-    stat_memo_hits().fetch_add(1, std::memory_order_relaxed);
-    path_.push_back(it->second.get());
-    return it->second->viable;
-  }
+  const Frame& cur = frames_[depth_];
+  Frame& next = frames_[depth_ + 1];
+  const int slot = depth_;
+  ++depth_;
+  next.viable = cur.viable;
+  next.killer = cur.killer;
+  next.killer_row = cur.killer_row;
+  // Extending a dead prefix: stay dead, no work.
+  if (!cur.viable) return false;
 
-  auto child = std::make_unique<Node>();
-  Node* node = child.get();
-  if (!cur->viable) {
-    // Extending a dead prefix: stay dead, no work.
-    node->viable = false;
-    node->killer = cur->killer;
-    node->killer_row = cur->killer_row;
-  } else {
-    stat_rows_evaluated().fetch_add(1, std::memory_order_relaxed);
-    node->states = cur->states;
-    int slot = depth();
-    for (int d : order_) {
-      if (!in_common_[d][slot]) continue;
-      State s = static_cast<State>(node->states[d]);
-      if (s == kAccept || s == kReject) continue;
-      // Entry of the transformed projection at this slot: row · d.
-      const DepVector& v = deps_.deps[d].vector;
-      DepEntry acc = DepEntry::exact(0);
-      for (size_t j = 0; j < row.size(); ++j)
-        if (row[j] != 0) acc = acc + v[j] * row[j];
-      State ns = step(s, acc);
-      node->states[d] = ns;
-      if (ns == kReject) {
-        node->viable = false;
-        node->killer = d;
-        node->killer_row = slot;
-        node->states.clear();  // dead nodes carry no states
-        // Move-to-front: this dependence just proved it prunes; try
-        // it first on future prefixes.
-        auto pos = std::find(order_.begin(), order_.end(), d);
-        order_.erase(pos);
-        order_.insert(order_.begin(), d);
-        break;
-      }
+  stat_rows_evaluated().fetch_add(1, std::memory_order_relaxed);
+  next.states = cur.states;
+  for (int d : order_) {
+    if (!in_common_[d][slot]) continue;
+    State s = static_cast<State>(next.states[d]);
+    if (s == kAccept || s == kReject) continue;
+    // Entry of the transformed projection at this slot: row · d.
+    const DepVector& v = deps_.deps[d].vector;
+    DepEntry acc = DepEntry::exact(0);
+    for (size_t j = 0; j < row.size(); ++j)
+      if (row[j] != 0) acc = acc + v[j] * row[j];
+    State ns = step(s, acc);
+    next.states[d] = ns;
+    if (ns == kReject) {
+      next.viable = false;
+      next.killer = d;
+      next.killer_row = slot;
+      // Move-to-front: this dependence just proved it prunes; try
+      // it first on future prefixes.
+      auto pos = std::find(order_.begin(), order_.end(), d);
+      order_.erase(pos);
+      order_.insert(order_.begin(), d);
+      break;
     }
   }
-  path_.push_back(node);
-  ++node_count_;
-  cur->children.emplace(row, std::move(child));
-  return node->viable;
+  return next.viable;
 }
 
 void IncrementalLegality::pop_row() {
-  INLT_CHECK_MSG(path_.size() > 1, "pop_row on an empty stack");
-  path_.pop_back();
-}
-
-bool IncrementalLegality::prefix_viable() const {
-  return path_.back()->viable;
-}
-
-int IncrementalLegality::killer() const { return path_.back()->killer; }
-
-int IncrementalLegality::killer_row() const {
-  return path_.back()->killer_row;
+  INLT_CHECK_MSG(depth_ > 0, "pop_row on an empty stack");
+  --depth_;
 }
 
 int IncrementalLegality::leaf_killer() const {
-  return path_.back()->leaf_killer;
+  const Frame& leaf = frames_[depth_];
+  if (depth_ != num_slots() || !leaf.viable) return -1;
+  // Dependences still undecided after all rows project to zero (or to
+  // a possibly-zero non-negative): legal iff the zero case is
+  // acceptable for the pair.
+  for (size_t d = 0; d < deps_.deps.size(); ++d) {
+    State s = static_cast<State>(leaf.states[d]);
+    if ((s == kRun || s == kRunNonNeg) && !zero_ok_[d])
+      return static_cast<int>(d);
+  }
+  return -1;
 }
 
 bool IncrementalLegality::current_legal() const {
   INLT_CHECK_MSG(depth() == num_slots(),
                  "current_legal needs a complete candidate");
-  Node* leaf = path_.back();
-  if (!leaf->viable) return false;
-  if (leaf->leaf_legal < 0) {
-    // Dependences still undecided after all rows project to zero (or
-    // to a possibly-zero non-negative): legal iff the zero case is
-    // acceptable for the pair.
-    bool legal = true;
-    for (size_t d = 0; d < deps_.deps.size(); ++d) {
-      State s = static_cast<State>(leaf->states[d]);
-      if ((s == kRun || s == kRunNonNeg) && !zero_ok_[d]) {
-        legal = false;
-        leaf->leaf_killer = static_cast<int>(d);
-        break;
-      }
-    }
-    leaf->leaf_legal = legal ? 1 : 0;
-  }
-  return leaf->leaf_legal == 1;
+  return frames_[depth_].viable && leaf_killer() < 0;
 }
 
 std::vector<int> IncrementalLegality::current_unsatisfied() const {
   INLT_CHECK_MSG(depth() == num_slots(),
                  "current_unsatisfied needs a complete candidate");
-  const Node* leaf = path_.back();
-  INLT_CHECK(leaf->viable);
+  const Frame& leaf = frames_[depth_];
+  INLT_CHECK(leaf.viable);
   std::vector<int> out;
   for (size_t d = 0; d < deps_.deps.size(); ++d) {
-    State s = static_cast<State>(leaf->states[d]);
+    State s = static_cast<State>(leaf.states[d]);
     if ((s == kRun || s == kRunNonNeg) && is_self_[d])
       out.push_back(static_cast<int>(d));
   }
   return out;
-}
-
-bool IncrementalLegality::check(const IntMat& m) {
-  INLT_CHECK_MSG(supports(m), "matrix outside the engine's supported class");
-  INLT_CHECK_MSG(path_.size() == 1, "check() needs an empty row stack");
-  int pushed = 0;
-  bool viable = true;
-  for (int s = 0; s < num_slots() && viable; ++s) {
-    IntVec row(m.cols());
-    for (int j = 0; j < m.cols(); ++j) row[j] = m(slots_[s], j);
-    viable = push_row(row);
-    ++pushed;
-  }
-  bool legal = viable && current_legal();
-  for (int s = 0; s < pushed; ++s) pop_row();
-  return legal;
-}
-
-void IncrementalLegality::clear() {
-  INLT_CHECK_MSG(path_.size() == 1, "clear with rows still pushed");
-  root_->children.clear();
-  root_->leaf_legal = -1;
-  root_->leaf_killer = -1;
-  path_.back() = root_.get();
-  node_count_ = 1;
 }
 
 }  // namespace inlt

@@ -4,10 +4,11 @@
 // vector P = (M·d) | common-loops. Each entry of P is one transformed
 // row dotted with d, and the lex-status walk consumes entries outermost
 // first — so legality can be decided *row by row* as a candidate matrix
-// is built up, and two candidates sharing leading rows share all of the
-// per-dependence work on that prefix. IncrementalLegality memoizes that
-// shared work in a trie keyed by row content, with two properties the
-// search driver exploits:
+// is built up. IncrementalLegality keeps that walk as a stack with one
+// frame per pushed row: a depth-first search pushes a row, reads the
+// verdict, descends or prunes, and pops, so every prefix is decided
+// once and its siblings start from the same parent frame. Two
+// properties the search driver exploits:
 //
 //  * Early rejection is final: once a dependence's walk hits a
 //    definitely-negative (or undecidable) entry, no extension of the
@@ -22,14 +23,12 @@
 // NewAST recovers the source tree with children in source order, so
 // the target program's common-loop positions and syntactic order equal
 // the source's, and the engine's verdict coincides exactly with
-// check_legality. (`supports()` tests the precondition.) For matrices
-// the engine accepts but recover_ast rejects as non-block-structured,
-// rejection is still sound: such candidates fail evaluation anyway.
+// check_legality. For matrices the engine accepts but recover_ast
+// rejects as non-block-structured, rejection is still sound: such
+// candidates fail evaluation anyway.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "dependence/analyzer.hpp"
@@ -46,30 +45,23 @@ class IncrementalLegality {
   /// is the loop position all_loop_positions()[s], outermost first.
   int num_slots() const { return static_cast<int>(slots_.size()); }
 
-  /// Can this engine decide the matrix? True for square matrices of
-  /// layout width whose edge rows are identity rows (loop rows are
-  /// unconstrained — permutations, skews, alignments all qualify).
-  bool supports(const IntMat& m) const;
-
-  // --- Stack API (used by the pruning search driver) ---
-
   /// Push the full-width row for the next slot. Returns the viability
   /// of the new prefix: false means every completion is illegal.
   bool push_row(const IntVec& row);
   void pop_row();
   /// Rows currently pushed.
-  int depth() const { return static_cast<int>(path_.size()) - 1; }
-  bool prefix_viable() const;
+  int depth() const { return depth_; }
+  bool prefix_viable() const { return frames_[depth_].viable; }
   /// Index of the dependence that killed the prefix (-1 if viable).
-  int killer() const;
+  int killer() const { return frames_[depth_].killer; }
   /// Slot (row) at which the prefix died (-1 if viable). Slots number
   /// pushed rows 0..num_slots()-1, outermost first.
-  int killer_row() const;
+  int killer_row() const { return frames_[depth_].killer_row; }
 
-  /// After a full-depth push with current_legal() == false on a
-  /// *viable* leaf: the first dependence whose zero projection is not
-  /// acceptable (the provenance of a completion-time rejection).
-  /// -1 when the leaf is legal or died earlier.
+  /// On a complete, *viable* candidate: the first dependence whose
+  /// zero projection is not acceptable (the provenance of a
+  /// completion-time rejection). -1 when the candidate is legal, died
+  /// earlier, or is not complete.
   int leaf_killer() const;
 
   /// Verdict for the complete candidate; requires depth()==num_slots().
@@ -81,18 +73,6 @@ class IncrementalLegality {
   /// LegalityResult::unsatisfied. Requires current_legal().
   std::vector<int> current_unsatisfied() const;
 
-  // --- Batch API ---
-
-  /// Check a complete matrix (must satisfy supports()), reusing the
-  /// memo trie. The stack is left where it was.
-  bool check(const IntMat& m);
-
-  /// Drop the memo trie (the stack must be empty).
-  void clear();
-
-  /// Nodes in the memo trie (root included).
-  size_t memo_size() const { return node_count_; }
-
  private:
   // Automaton state of one dependence after consuming a row prefix;
   // mirrors the lex_status walk in direction.cpp.
@@ -103,21 +83,16 @@ class IncrementalLegality {
     kReject,      // definitely negative or undecidable: final
   };
 
-  struct Node {
-    // Per-dependence states, in dependence-set order. Only populated
-    // while the node is viable; a dead node stores just the killer.
+  // The walk after one row prefix.
+  struct Frame {
+    // Per-dependence states, in dependence-set order. Meaningful only
+    // while the frame is viable.
     std::vector<std::uint8_t> states;
     bool viable = true;
     int killer = -1;
-    // Slot index of the row that killed the node (-1 while viable);
+    // Slot index of the row that killed the prefix (-1 while viable);
     // inherited by extensions of a dead prefix.
     int killer_row = -1;
-    // Memoized leaf verdict: -1 unknown, else 0/1.
-    int leaf_legal = -1;
-    // Dependence whose unacceptable zero projection rejected a viable
-    // leaf (-1 otherwise); memoized with leaf_legal.
-    int leaf_killer = -1;
-    std::map<IntVec, std::unique_ptr<Node>> children;
   };
 
   State step(State s, const DepEntry& e) const;
@@ -136,9 +111,10 @@ class IncrementalLegality {
   // Move-to-front testing order over dependence indices.
   std::vector<int> order_;
 
-  std::unique_ptr<Node> root_;
-  std::vector<Node*> path_;  // path_[0] == root_; back() == current
-  size_t node_count_ = 1;
+  // frames_[0] is the empty prefix; frames_[depth_] the current one.
+  // Sized num_slots()+1 up front, so a push reuses its frame's storage.
+  std::vector<Frame> frames_;
+  int depth_ = 0;
 };
 
 }  // namespace inlt

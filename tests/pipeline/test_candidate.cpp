@@ -1,6 +1,5 @@
-// The candidate pipeline's building blocks in isolation: stage
-// ordering and early rejection in CandidatePipeline, and the
-// accounting / bounded best-K heap in CandidateAccumulator.
+// The accounting and bounded best-K heap of CandidateAccumulator in
+// isolation.
 #include "pipeline/candidate.hpp"
 
 #include <gtest/gtest.h>
@@ -10,69 +9,6 @@
 
 namespace inlt {
 namespace {
-
-TEST(CandidatePipeline, StageKindNames) {
-  EXPECT_STREQ(stage_kind_name(StageKind::kLegality), "legality");
-  EXPECT_STREQ(stage_kind_name(StageKind::kComplete), "complete");
-  EXPECT_STREQ(stage_kind_name(StageKind::kCost), "cost");
-  EXPECT_STREQ(stage_kind_name(StageKind::kCodegen), "codegen");
-  EXPECT_STREQ(stage_kind_name(StageKind::kVerify), "verify");
-}
-
-TEST(CandidatePipeline, LeafAndDeferredRunInOrder) {
-  CandidatePipeline pipe;
-  std::vector<std::string> ran;
-  pipe.add(StageKind::kLegality, /*deferred=*/false,
-           [&](Candidate&) { ran.push_back("legality"); });
-  pipe.add(StageKind::kComplete, /*deferred=*/true,
-           [&](Candidate&) { ran.push_back("complete"); });
-  pipe.add(StageKind::kCost, /*deferred=*/true,
-           [&](Candidate&) { ran.push_back("cost"); });
-
-  EXPECT_TRUE(pipe.has(StageKind::kLegality));
-  EXPECT_TRUE(pipe.has(StageKind::kCost));
-  EXPECT_FALSE(pipe.has(StageKind::kCodegen));
-  EXPECT_TRUE(pipe.has_deferred());
-  EXPECT_EQ(pipe.describe(), "legality -> complete -> cost");
-
-  Candidate c;
-  pipe.run_leaf(c);
-  EXPECT_EQ(ran, (std::vector<std::string>{"legality"}));
-  pipe.run_deferred(c);
-  EXPECT_EQ(ran, (std::vector<std::string>{"legality", "complete", "cost"}));
-}
-
-TEST(CandidatePipeline, RejectionStopsRemainingStages) {
-  CandidatePipeline pipe;
-  std::vector<std::string> ran;
-  pipe.add(StageKind::kComplete, /*deferred=*/true, [&](Candidate& c) {
-    ran.push_back("complete");
-    c.rejected = true;
-  });
-  pipe.add(StageKind::kCost, /*deferred=*/true,
-           [&](Candidate&) { ran.push_back("cost"); });
-
-  Candidate c;
-  pipe.run_deferred(c);
-  EXPECT_EQ(ran, (std::vector<std::string>{"complete"}));
-  EXPECT_TRUE(c.rejected);
-
-  // An already-rejected candidate runs nothing at all.
-  ran.clear();
-  Candidate dead;
-  dead.rejected = true;
-  pipe.run_deferred(dead);
-  EXPECT_TRUE(ran.empty());
-}
-
-TEST(CandidatePipeline, EmptyPipelineHasNothing) {
-  CandidatePipeline pipe;
-  EXPECT_FALSE(pipe.has_deferred());
-  EXPECT_EQ(pipe.describe(), "");
-  Candidate c;
-  pipe.run_leaf(c);  // no-op
-  EXPECT_FALSE(c.rejected);
-}
 
 Candidate legal_candidate(i64 index, double cost_lines) {
   Candidate c;

@@ -159,10 +159,7 @@ TEST(SearchTest, SinkStreamsHitsInOrder) {
 TEST(SearchTest, RepeatedSearchesReuseTheEngine) {
   TransformSession session(gallery::lu());
   SearchResult first = session.search(SearchSpace{});
-  i64 hits0 = Stats::global().value("incremental.memo_hits");
   SearchResult second = session.search(SearchSpace{});
-  // Second sweep of the same space: every engine push is memoized.
-  EXPECT_GT(Stats::global().value("incremental.memo_hits"), hits0);
   EXPECT_EQ(first.stats.legal, second.stats.legal);
   EXPECT_EQ(first.hits.size(), second.hits.size());
   for (size_t i = 0; i < first.hits.size(); ++i)

@@ -1,7 +1,7 @@
 // IncrementalLegality: row-by-row verdicts must agree with the batch
-// Definition 6 test on every structure-preserving candidate, the
+// Definition 6 test on every structure-preserving candidate, and the
 // prefix pruning must be sound (a dead prefix has no legal
-// completions), and the memo trie must reuse shared-prefix work.
+// completions).
 #include "transform/incremental.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 
 #include "dependence/analyzer.hpp"
 #include "ir/gallery.hpp"
-#include "support/stats.hpp"
 #include "transform/legality.hpp"
 #include "transform/transforms.hpp"
 
@@ -29,6 +28,38 @@ std::vector<IntMat> all_permutations(const IvLayout& layout) {
     out.push_back(loop_permutation(layout, vars));
   } while (std::next_permutation(vars.begin(), vars.end()));
   return out;
+}
+
+// The engine's class: square matrices of layout width whose edge rows
+// are identity rows (loop rows are unconstrained — permutations, skews,
+// alignments all qualify).
+bool supports(const IvLayout& layout, const IntMat& m) {
+  if (m.rows() != layout.size() || m.cols() != layout.size()) return false;
+  for (int p = 0; p < layout.size(); ++p) {
+    if (layout.positions()[p].kind != PositionKind::kEdge) continue;
+    for (int j = 0; j < m.cols(); ++j)
+      if (m(p, j) != (j == p ? 1 : 0)) return false;
+  }
+  return true;
+}
+
+// The engine's verdict on a complete matrix: push its loop rows
+// outermost first (stopping at a dead prefix), read the verdict, and
+// pop back to the empty stack.
+bool check(IncrementalLegality& engine, const IvLayout& layout,
+           const IntMat& m) {
+  const std::vector<int> slots = layout.all_loop_positions();
+  int pushed = 0;
+  bool viable = true;
+  for (size_t s = 0; s < slots.size() && viable; ++s) {
+    IntVec row(m.cols());
+    for (int j = 0; j < m.cols(); ++j) row[j] = m(slots[s], j);
+    viable = engine.push_row(row);
+    ++pushed;
+  }
+  bool legal = viable && engine.current_legal();
+  for (int s = 0; s < pushed; ++s) engine.pop_row();
+  return legal;
 }
 
 class IncrementalEquivalence : public ::testing::TestWithParam<int> {};
@@ -54,9 +85,9 @@ TEST_P(IncrementalEquivalence, MatchesBatchLegalityOnAllPermutations) {
 
   int agree = 0;
   for (const IntMat& m : all_permutations(layout)) {
-    ASSERT_TRUE(engine.supports(m));
+    ASSERT_TRUE(supports(layout, m));
     bool batch = check_legality(layout, deps, m).legal();
-    EXPECT_EQ(engine.check(m), batch) << "program " << GetParam();
+    EXPECT_EQ(check(engine, layout, m), batch) << "program " << GetParam();
     ++agree;
   }
   EXPECT_GT(agree, 0);
@@ -83,9 +114,9 @@ TEST(IncrementalLegalityTest, MatchesBatchOnSkewedCandidates) {
         if (t == s) continue;
         for (i64 f = -2; f <= 2; ++f) {
           IntMat m = mat_mul(perm, loop_skew(layout, t, s, f));
-          if (!engine.supports(m)) continue;
+          if (!supports(layout, m)) continue;
           bool batch = check_legality(layout, deps, m).legal();
-          ASSERT_EQ(engine.check(m), batch)
+          ASSERT_EQ(check(engine, layout, m), batch)
               << "skew " << t << " by " << s << " * " << f;
           ++checked;
         }
@@ -146,42 +177,51 @@ TEST(IncrementalLegalityTest, UnsatisfiedMatchesBatchResult) {
   }
 }
 
-TEST(IncrementalLegalityTest, SharedPrefixesHitTheMemo) {
-  Program p = gallery::lu();
+TEST(IncrementalLegalityTest, PopReturnsToTheParentFrame) {
+  // A dead sibling must not leak into the next one: after popping a
+  // dead row, the parent frame decides the next push afresh, and a
+  // push onto a dead prefix inherits its killer.
+  Program p = gallery::cholesky();
   IvLayout layout(p);
   DependenceSet deps = analyze_dependences(layout);
   IncrementalLegality engine(layout, deps);
+  const std::vector<int> slots = layout.all_loop_positions();
+  auto unit = [&](int slot, i64 sign) {
+    IntVec row(layout.size(), 0);
+    row[slots[slot]] = sign;
+    return row;
+  };
 
-  std::vector<IntMat> perms = all_permutations(layout);
-  for (const IntMat& m : perms) engine.check(m);
-  size_t nodes_after_first = engine.memo_size();
-
-  i64 hits0 = Stats::global().value("incremental.memo_hits");
-  for (const IntMat& m : perms) engine.check(m);
-  // Second sweep: every push is a memo hit, no new nodes.
-  EXPECT_EQ(engine.memo_size(), nodes_after_first);
-  EXPECT_GE(Stats::global().value("incremental.memo_hits"),
-            hits0 + static_cast<i64>(perms.size()));
-
-  engine.clear();
-  EXPECT_EQ(engine.memo_size(), 1u);
-  // Still correct after clearing.
-  for (const IntMat& m : perms)
-    EXPECT_EQ(engine.check(m), check_legality(layout, deps, m).legal());
+  ASSERT_TRUE(engine.push_row(unit(0, 1)));
+  EXPECT_EQ(engine.killer(), -1);
+  // Reversing the outermost loop kills the prefix at slot 0.
+  engine.pop_row();
+  ASSERT_FALSE(engine.push_row(unit(0, -1)));
+  const int killer = engine.killer();
+  EXPECT_GE(killer, 0);
+  EXPECT_EQ(engine.killer_row(), 0);
+  EXPECT_FALSE(engine.push_row(unit(1, 1)));
+  EXPECT_EQ(engine.killer(), killer);
+  EXPECT_EQ(engine.killer_row(), 0);
+  engine.pop_row();
+  engine.pop_row();
+  EXPECT_EQ(engine.depth(), 0);
+  ASSERT_TRUE(engine.push_row(unit(0, 1)));
+  EXPECT_TRUE(engine.prefix_viable());
+  EXPECT_EQ(engine.killer(), -1);
+  EXPECT_EQ(engine.killer_row(), -1);
 }
 
 TEST(IncrementalLegalityTest, SupportsRejectsNonIdentityEdgeRows) {
   Program p = gallery::simplified_cholesky();
   IvLayout layout(p);
-  DependenceSet deps = analyze_dependences(layout);
-  IncrementalLegality engine(layout, deps);
 
-  EXPECT_TRUE(engine.supports(IntMat::identity(layout.size())));
+  EXPECT_TRUE(supports(layout, IntMat::identity(layout.size())));
   // Statement reordering permutes edge rows: outside the engine's class.
   IntMat reorder = statement_reorder(layout, "I", {1, 0});
-  EXPECT_FALSE(engine.supports(reorder));
+  EXPECT_FALSE(supports(layout, reorder));
   // Wrong shape.
-  EXPECT_FALSE(engine.supports(IntMat::identity(layout.size() + 1)));
+  EXPECT_FALSE(supports(layout, IntMat::identity(layout.size() + 1)));
 }
 
 }  // namespace
